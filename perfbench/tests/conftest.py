@@ -1,0 +1,12 @@
+"""Make the benchmark's helpers (and the library) importable in its tests.
+
+Run with ``python -m pytest perfbench/tests -q`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent, HERE.parent.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
