@@ -10,8 +10,8 @@ to run all four).
 The reproduction target is the *shape* of the table: graph-based neural
 models beat sequence-only models, which beat the weak statistical baselines,
 and DyHSL sits at or near the top.  Absolute numbers differ from the paper
-because the substrate is a CPU-scale synthetic simulator (see DESIGN.md and
-EXPERIMENTS.md).
+because the substrate is a CPU-scale synthetic simulator (see the scale
+settings in ``benchmarks/conftest.py``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Every benchmark module regenerates one table or figure of the paper's
 evaluation section.  The paper's experiments run on the full PEMS datasets
-on a GPU; this harness runs CPU-scale substitutes (see DESIGN.md): the same
+on a GPU; this harness runs CPU-scale substitutes: the same
 models, the same protocol (60/20/20 chronological split, 12-in/12-out,
 masked MAE/RMSE/MAPE), but on synthetic PEMS-like data with a reduced node
 count, horizon length and epoch budget.  The environment variables below let
@@ -15,7 +15,8 @@ a user with more time raise the scale:
 
 Absolute errors are therefore not comparable with the paper; the *shape* of
 each table (which method wins, the direction of every ablation) is the
-reproduction target and is recorded in EXPERIMENTS.md.
+reproduction target; each benchmark module's docstring states the shape it
+reproduces, and the tables are written to ``benchmarks/results.txt``.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 @pytest.fixture(scope="session", autouse=True)
 def _reset_results_file():
     with open(RESULTS_PATH, "w", encoding="utf-8") as handle:
-        handle.write("Reproduced tables and figures (see EXPERIMENTS.md for the interpretation)\n")
+        handle.write("Reproduced tables and figures (each benchmark module's docstring states what it reproduces)\n")
     yield
 
 

@@ -7,7 +7,7 @@ The original model is a sequence-to-sequence architecture with scheduled
 sampling; this reproduction keeps the diffusion-convolutional encoder and
 replaces the autoregressive decoder with a direct multi-horizon projection,
 which preserves the model's characteristic spatial operator while keeping
-CPU training tractable (the substitution is recorded in DESIGN.md).
+CPU training tractable.
 """
 
 from __future__ import annotations

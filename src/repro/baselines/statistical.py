@@ -17,8 +17,6 @@ Implementation notes
   with sub-gradient descent on the ε-insensitive loss, shared across nodes.
   The original baseline uses an RBF kernel SVM; the linear version keeps the
   characteristic sparse-support behaviour while staying dependency-free.
-
-Both substitutions are documented in DESIGN.md.
 """
 
 from __future__ import annotations

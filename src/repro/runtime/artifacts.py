@@ -67,9 +67,12 @@ __all__ = [
 ]
 
 #: Version of the on-disk artifact layout.  Bump on any incompatible change
-#: to the spec encoding; loaders reject artifacts from other versions (the
-#: cost is one recompile, never a wrong plan).
-ARTIFACT_FORMAT_VERSION = 1
+#: to the spec encoding, and on any change to how a module lowers to steps:
+#: the trace hash covers the module, weights, shape and options but not the
+#: lowering, so only the version keeps a warm store from replaying an older
+#: plan.  Loaders reject artifacts from other versions (the cost is one
+#: recompile, never a wrong plan).  Version 2: batch-major ``spmm`` steps.
+ARTIFACT_FORMAT_VERSION = 2
 
 _SPEC_KEY = "__plan_spec__"
 _META_KEY = "__artifact_meta__"

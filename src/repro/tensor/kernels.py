@@ -154,13 +154,19 @@ _CSR_MATVECS = _probe_csr_matvecs()
 
 
 def spmm(dense: np.ndarray, out: Optional[np.ndarray] = None, *, matrix=None) -> np.ndarray:
-    """Constant-sparse times dense: ``matrix @ dense``.
+    """Constant-sparse times dense: ``matrix @ dense``, batch-major.
 
-    ``matrix`` is a :class:`repro.graph.sparse.SparseMatrix` captured as a
-    plan constant.  With a contiguous ``out`` the product accumulates
-    directly into the buffer through SciPy's ``csr_matvecs`` (the routine
-    the ``@`` operator itself uses, so the numbers are unchanged); otherwise
-    the SciPy product is computed and copied.
+    ``matrix`` is a :class:`repro.graph.sparse.SparseMatrix` of shape
+    ``(M, K)`` captured as a plan constant.  ``dense`` is ``(K, F)`` or a
+    batch ``(B, K, F)``; the result is a C-contiguous ``(M, F)`` or
+    ``(B, M, F)``.  The product accumulates through SciPy's
+    ``csr_matvecs`` (the routine the ``@`` operator itself uses), once per
+    batch slice with ``n_vecs=F``.  CSR sums every output element over its
+    row's stored entries in the same order whatever ``n_vecs`` is, so the
+    batch-major product is bit-identical to one ``(K, B*F)`` product while
+    needing no transpose of the batch into the feature axis.  A contiguous
+    ``out`` of the operand's dtype is written in place; any other ``out``
+    receives a copy.
 
     Dtype-polymorphic: a non-float64 ``dense`` (a float32 precision-policy
     plan) multiplies against the matrix's cached same-dtype value array
@@ -170,26 +176,21 @@ def spmm(dense: np.ndarray, out: Optional[np.ndarray] = None, *, matrix=None) ->
     """
     if matrix.csr.dtype != dense.dtype:
         matrix = matrix.with_dtype(dense.dtype)
-    if (
-        out is not None
-        and _CSR_MATVECS is not None
-        and dense.ndim == 2
-        and dense.flags.c_contiguous
-        and out.flags.c_contiguous
-        and out.dtype == dense.dtype
-    ):
-        csr = matrix.csr
-        out.fill(0.0)
-        _CSR_MATVECS(
-            csr.shape[0], csr.shape[1], dense.shape[1],
-            csr.indptr, csr.indices, csr.data,
-            dense.ravel(), out.ravel(),
-        )
-        return out
-    result = matrix.dot_array(dense)
-    if out is None:
-        return result
-    np.copyto(out, result)
+    csr = matrix.csr
+    rows, cols = csr.shape
+    dense = np.ascontiguousarray(dense)
+    pages, features = int(np.prod(dense.shape[:-2])), dense.shape[-1]
+    direct = out is not None and out.flags.c_contiguous and out.dtype == dense.dtype
+    target = out if direct else np.empty(dense.shape[:-2] + (rows, features), dtype=dense.dtype)
+    target.fill(0.0)
+    for x, y in zip(dense.reshape(pages, cols, features), target.reshape(pages, rows, features)):
+        if _CSR_MATVECS is None:
+            y[...] = csr @ x
+        else:
+            _CSR_MATVECS(rows, cols, features, csr.indptr, csr.indices, csr.data, x.ravel(), y.ravel())
+    if out is None or direct:
+        return target
+    np.copyto(out, target)
     return out
 
 

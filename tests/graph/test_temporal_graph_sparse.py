@@ -111,6 +111,29 @@ class TestSparseMatrix:
         out.sum().backward()
         assert x.grad.shape == operand.shape
 
+    def test_sparse_matmul_batched_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(2)
+        matrix = SparseMatrix((rng.random((5, 4)) < 0.5) * rng.normal(size=(5, 4)))
+        operand = rng.normal(size=(3, 4, 2))
+        weights = rng.normal(size=(3, 5, 2))
+
+        def loss(values):
+            return float((sparse_matmul(matrix, Tensor(values)).numpy() ** 2 * weights).sum())
+
+        x = Tensor(operand.copy(), requires_grad=True)
+        out = sparse_matmul(matrix, x)
+        assert out.numpy().flags.c_contiguous
+        ((out * out) * Tensor(weights)).sum().backward()
+        numerical = np.zeros_like(operand)
+        eps = 1e-6
+        for index in np.ndindex(operand.shape):
+            shifted = operand.copy()
+            shifted[index] += eps
+            plus = loss(shifted)
+            shifted[index] -= 2 * eps
+            numerical[index] = (plus - loss(shifted)) / (2 * eps)
+        np.testing.assert_allclose(x.grad, numerical, rtol=1e-6, atol=1e-8)
+
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError):
             sparse_matmul(SparseMatrix(np.eye(3)), Tensor(np.zeros((4, 2))))

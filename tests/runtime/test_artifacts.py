@@ -219,7 +219,9 @@ class TestValidationAndFallback:
         CompiledModel(model, artifact_dir=store)(windows)
         import repro.runtime.artifacts as artifacts_module
 
-        monkeypatch.setattr(artifacts_module, "ARTIFACT_FORMAT_VERSION", 2)
+        monkeypatch.setattr(
+            artifacts_module, "ARTIFACT_FORMAT_VERSION", artifacts_module.ARTIFACT_FORMAT_VERSION + 1
+        )
         fresh = _fresh_store(store)
         with pytest.raises(ArtifactError, match="format"):
             fresh.load(fresh.keys()[0])

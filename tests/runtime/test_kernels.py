@@ -136,11 +136,77 @@ class TestOutBufferEquivalence:
         out = np.empty((7, 9))
         K.spmm(operand, out=out, matrix=matrix)
         assert np.array_equal(out, expected)
-        # Non-contiguous operand falls back to the copying path.
+        # A non-contiguous operand is made contiguous first: same bits.
         strided = np.asfortranarray(operand)
         out2 = np.empty((7, 9))
         K.spmm(strided, out=out2, matrix=matrix)
-        assert np.allclose(out2, expected, atol=1e-12)
+        assert np.array_equal(out2, expected)
+
+
+class TestBatchMajorSpmm:
+    """3-D ``spmm``: ``(B, K, F)`` in, contiguous ``(B, M, F)`` out, same bits
+    as one CSR product per batch slice."""
+
+    @staticmethod
+    def _matrix(rows=6, cols=5):
+        rng = np.random.default_rng(7)
+        return SparseMatrix((rng.random((rows, cols)) < 0.4) * rng.normal(size=(rows, cols)))
+
+    @staticmethod
+    def _per_slice(matrix, operand):
+        return np.stack([matrix.csr @ page for page in operand])
+
+    def test_allocating_call_is_contiguous_and_bit_equal(self):
+        matrix = self._matrix()
+        operand = RNG.normal(size=(4, 5, 3))
+        result = K.spmm(operand, matrix=matrix)
+        assert result.shape == (4, 6, 3)
+        assert result.flags.c_contiguous
+        assert np.array_equal(result, self._per_slice(matrix, operand))
+
+    def test_scipy_operator_fallback_gives_the_same_bits(self, monkeypatch):
+        """Without the raw ``csr_matvecs`` routine the ``@`` operator runs."""
+        matrix = self._matrix()
+        operand = RNG.normal(size=(4, 5, 3))
+        expected = K.spmm(operand, matrix=matrix)
+        monkeypatch.setattr(K, "_CSR_MATVECS", None)
+        out = np.empty_like(expected)
+        assert K.spmm(operand, out=out, matrix=matrix) is out
+        assert np.array_equal(out, expected)
+
+    def test_out_buffer_is_written_in_place(self):
+        matrix = self._matrix()
+        operand = RNG.normal(size=(4, 5, 3))
+        out = np.full((4, 6, 3), np.nan)
+        assert K.spmm(operand, out=out, matrix=matrix) is out
+        assert np.array_equal(out, self._per_slice(matrix, operand))
+
+    def test_non_contiguous_operand_and_out(self):
+        matrix = self._matrix()
+        operand = RNG.normal(size=(3, 5, 4)).transpose(2, 1, 0)  # (4, 5, 3) view
+        assert not operand.flags.c_contiguous
+        expected = self._per_slice(matrix, operand)
+        assert np.array_equal(K.spmm(operand, matrix=matrix), expected)
+        strided_out = np.empty((3, 6, 4)).transpose(2, 1, 0)
+        K.spmm(operand, out=strided_out, matrix=matrix)
+        assert np.array_equal(strided_out, expected)
+
+    def test_float32_runs_at_operand_precision(self):
+        matrix = self._matrix()
+        operand = RNG.normal(size=(4, 5, 3)).astype(np.float32)
+        out = np.empty((4, 6, 3), dtype=np.float32)
+        K.spmm(operand, out=out, matrix=matrix)
+        assert np.array_equal(out, self._per_slice(matrix.with_dtype(np.float32), operand))
+        np.testing.assert_allclose(
+            out, self._per_slice(matrix, operand.astype(np.float64)), rtol=1e-5, atol=1e-6
+        )
+
+    def test_matches_the_folded_two_d_product_bit_for_bit(self):
+        """Batch-major equals the former ``(K, B*F)`` layout exactly."""
+        matrix = self._matrix()
+        operand = RNG.normal(size=(4, 5, 3))
+        folded = K.spmm(np.ascontiguousarray(operand.transpose(1, 0, 2)).reshape(5, 12), matrix=matrix)
+        assert np.array_equal(K.spmm(operand, matrix=matrix), folded.reshape(6, 4, 3).transpose(1, 0, 2))
 
 
 class TestFusedPrimitiveGradients:
