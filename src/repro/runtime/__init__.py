@@ -43,6 +43,7 @@ from .engine import (
     PRECISION_ENV_VAR,
     PRECISIONS,
     THREADS_ENV_VAR,
+    TILE_BUDGET_BYTES,
     WORKSPACE_ALIGN,
     CompiledModel,
     Plan,
@@ -52,7 +53,9 @@ from .engine import (
     StepSpec,
     bind_plan,
     bucket_batch_size,
+    plan_row_bytes,
     plan_workspace_nbytes,
+    replay_tile,
     resolve_bucket_cap,
     resolve_precision,
     resolve_thread_count,
@@ -86,6 +89,7 @@ __all__ = [
     "RUNTIME_ENV_VAR",
     "StepSpec",
     "THREADS_ENV_VAR",
+    "TILE_BUDGET_BYTES",
     "VERIFY_ENV_VAR",
     "VerifyError",
     "VerifyReport",
@@ -96,8 +100,10 @@ __all__ = [
     "compile_module",
     "compile_plan",
     "compile_training_model",
+    "plan_row_bytes",
     "plan_trainable",
     "plan_workspace_nbytes",
+    "replay_tile",
     "resolve_bucket_cap",
     "resolve_precision",
     "resolve_runtime_mode",

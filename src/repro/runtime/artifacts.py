@@ -72,7 +72,8 @@ __all__ = [
 #: lowering, so only the version keeps a warm store from replaying an older
 #: plan.  Loaders reject artifacts from other versions (the cost is one
 #: recompile, never a wrong plan).  Version 2: batch-major ``spmm`` steps.
-ARTIFACT_FORMAT_VERSION = 2
+#: Version 3: stacked per-slice ``tensordot_last`` matmuls.
+ARTIFACT_FORMAT_VERSION = 3
 
 _SPEC_KEY = "__plan_spec__"
 _META_KEY = "__artifact_meta__"

@@ -48,6 +48,9 @@ __all__ = [
     "resolve_thread_count",
     "bucket_batch_size",
     "pad_batch_to_bucket",
+    "plan_row_bytes",
+    "replay_tile",
+    "TILE_BUDGET_BYTES",
 ]
 
 #: Environment variable controlling batch bucketing (see
@@ -56,6 +59,13 @@ BUCKETS_ENV_VAR = "REPRO_RUNTIME_BUCKETS"
 
 #: Largest padded batch by default; batches beyond it compile exact plans.
 DEFAULT_BUCKET_CAP = 1024
+
+#: Byte budget of one replay tile: a plan serves at most the largest
+#: power-of-two batch whose widest step output fits in it, and larger
+#: batches replay that plan over row tiles (see :func:`replay_tile`).
+#: Calibrated by ``benchmarks/bench_replay_tiles.py``: a tile's working set
+#: has to stay cache-resident for the bandwidth-bound kernels to win.
+TILE_BUDGET_BYTES = 1 << 20
 
 #: Environment variable selecting the default execution precision (see
 #: :func:`resolve_precision`).
@@ -222,6 +232,24 @@ def pad_batch_to_bucket(array: np.ndarray, cap: Optional[int]):
     return padded, batch
 
 
+def plan_row_bytes(spec: "PlanSpec") -> int:
+    """Bytes of the plan's widest buffered step output per batch row."""
+    rows = max(int(spec.stats.input_shape[0]), 1)
+    itemsize = np.dtype(spec.dtype).itemsize
+    widest = max(
+        (int(np.prod(step.out_shape)) * itemsize for step in spec.steps if step.storage is not None),
+        default=0,
+    )
+    return -(-widest // rows)
+
+
+def replay_tile(row_bytes: int) -> int:
+    """Rows of one replay tile: the largest power of two whose widest step
+    output (``row_bytes`` per row) fits :data:`TILE_BUDGET_BYTES`, at least 1."""
+    fits = TILE_BUDGET_BYTES // max(int(row_bytes), 1)
+    return 1 << max(fits.bit_length() - 1, 0)
+
+
 @dataclass(frozen=True)
 class PlanStats:
     """Size and provenance counters of one compiled plan."""
@@ -300,6 +328,10 @@ class PlanCacheInfo:
     #: fresh compile while the gate is on; artifact loads verify in the
     #: store — see :class:`~repro.runtime.artifacts.ArtifactStoreStats`).
     verifies: int = 0
+    #: One-row traces run only to size a replay tile (the traced plan is
+    #: not kept); needed when the first batch of a shape has several rows
+    #: and no one-row plan is cached.
+    tile_probes: int = 0
 
 
 @dataclass(frozen=True)
@@ -677,6 +709,14 @@ class CompiledModel:
     :func:`resolve_bucket_cap`); batches above the cap serve exact-shape
     plans.
 
+    **Replay tiles** bound it from above: a batch larger than the tile —
+    the largest power-of-two row count whose widest step output fits
+    :data:`TILE_BUDGET_BYTES`, read from the one-row plan — is served by
+    replaying the tile plan over consecutive row tiles, so the working set
+    of every replay stays cache-sized and no plan bigger than the tile is
+    ever compiled.  The model forward is batch-invariant (see
+    :func:`repro.tensor.ops.tensordot_last`), so tiling never changes a bit.
+
     Two execution knobs (see ``docs/runtime.md`` §Precision & parallelism):
     ``precision`` selects the plans' execution dtype (``"float64"`` — the
     default, bit-identical to autograd — or ``"float32"`` for ~2x memory
@@ -734,6 +774,8 @@ class CompiledModel:
         # Per-trailing-shape output shapes learned from the first empty-batch
         # probe, so repeated B == 0 calls answer without running the model.
         self._empty_output_shapes: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        # Replay tile rows per (trailing shape, dtype name); see tile_rows.
+        self._tiles: Dict[Tuple, int] = {}
         self._lock = threading.Lock()
         self._artifacts = self._as_store(artifact_dir)
         # Weights content hash keying artifacts; computed lazily, dropped on
@@ -744,6 +786,7 @@ class CompiledModel:
         self._artifact_rejects = 0
         self._artifact_saves = 0
         self._verifies = 0
+        self._tile_probes = 0
 
     @staticmethod
     def _as_store(artifact_dir):
@@ -807,19 +850,20 @@ class CompiledModel:
 
         Ragged batch sizes are padded up to their bucket and the output
         sliced back, so callers (micro-batcher, serving paths) can pass any
-        batch through unchanged.  The model-wide lock only guards
-        plan-cache lookups and inserts — never a compile and never an
-        execution — so requests for already compiled shapes proceed while a
-        new shape compiles, and requests with different batch shapes run
-        concurrently (their workspaces are disjoint; same-shape requests
-        serialise on the plan's own lock).
+        batch through unchanged; a batch above the replay tile is served
+        tile by tile (the last, ragged tile padded to its own bucket).  The
+        model-wide lock only guards plan-cache lookups and inserts — never
+        a compile and never an execution — so requests for already compiled
+        shapes proceed while a new shape compiles, and requests with
+        different batch shapes run concurrently (their workspaces are
+        disjoint; same-shape requests serialise on the plan's own lock).
 
         Edge shapes are hardened rather than special plans: an empty batch
         (``B == 0``) replays the single-row bucket plan on a probe row and
         trims everything back off — tracing a degenerate ``(0, ...)`` shape
         or letting it churn the plan LRU would buy nothing — and a batch
-        above the bucket cap runs an exact-shape plan (see
-        :func:`pad_batch_to_bucket`).
+        above the bucket cap (but within the tile) runs an exact-shape plan
+        (see :func:`pad_batch_to_bucket`).
         """
         dtype = self._resolve_call_dtype(precision)
         array = x.data if isinstance(x, Tensor) else np.asarray(x)
@@ -834,6 +878,17 @@ class CompiledModel:
             result = self._get_or_compile(probe).call(probe, trim=0, threads=self._threads)
             self._empty_output_shapes[tail] = result.shape[1:]
             return result
+        if array.ndim > 0 and array.shape[0] > 1:
+            tile = self.tile_rows(array.shape, dtype)
+            if array.shape[0] > tile:
+                return np.concatenate(
+                    [self._serve(array[start : start + tile]) for start in range(0, array.shape[0], tile)],
+                    axis=0,
+                )
+        return self._serve(array)
+
+    def _serve(self, array: np.ndarray) -> np.ndarray:
+        """Replay the bucketed plan for a batch of at most one tile."""
         array, trim = self._pad_to_bucket(array)
         plan = self._get_or_compile(array)
         result = plan.call(array, trim=trim, threads=self._threads)
@@ -844,6 +899,34 @@ class CompiledModel:
     def _pad_to_bucket(self, array: np.ndarray) -> Tuple[np.ndarray, Optional[int]]:
         """Pad axis 0 up to this model's bucket; see :func:`pad_batch_to_bucket`."""
         return pad_batch_to_bucket(array, self._bucket_cap)
+
+    def tile_rows(self, shape: Tuple[int, ...], precision: Union[None, str, np.dtype] = None) -> int:
+        """The replay tile serving inputs of ``shape`` (its batch axis is ignored).
+
+        Batches up to this many rows replay one (bucketed) plan; larger ones
+        replay the tile plan over row tiles.  Sized once per trailing shape
+        and dtype from the one-row plan: the cached one when it exists, else
+        a one-row *probe* trace whose plan is dropped (counted in
+        :attr:`PlanCacheInfo.tile_probes`, never in ``compiles``, and kept
+        out of the plan LRU and the artifact store).  The process tier cuts
+        its jobs at this size so workers bind the plans the parent warmed.
+        """
+        dtype = self._resolve_call_dtype(precision)
+        memo = (tuple(int(dim) for dim in shape[1:]), dtype.name)
+        tile = self._tiles.get(memo)
+        if tile is not None:
+            return tile
+        row = np.zeros((1,) + memo[0], dtype=dtype)
+        with self._lock:
+            plan = self._plans.get(self._plan_key(row.shape, dtype))
+        if plan is None:
+            plan = self._trace(row)
+            with self._lock:
+                self._tile_probes += 1
+        tile = replay_tile(plan_row_bytes(plan.spec))
+        with self._lock:
+            self._tiles[memo] = tile
+        return tile
 
     def _get_or_compile(self, array: np.ndarray) -> Plan:
         """Fetch the plan for ``array.shape``, compiling outside the cache lock.
@@ -885,13 +968,13 @@ class CompiledModel:
             return plan
 
     # ------------------------------------------------------------------
-    def _compile(self, array: np.ndarray) -> Plan:
+    def _trace(self, array: np.ndarray) -> Plan:
         from .compiler import compile_plan
 
         module = self._module
         if self._output_slice is not None:
             module = _SlicedForward(module, *self._output_slice)
-        plan = compile_plan(
+        return compile_plan(
             module,
             array,
             fold_constants=self._fold_constants,
@@ -899,6 +982,9 @@ class CompiledModel:
             dtype=array.dtype,
             parallel=self._threads > 1,
         )
+
+    def _compile(self, array: np.ndarray) -> Plan:
+        plan = self._trace(array)
         from .verify import verify_enabled
 
         if verify_enabled():
@@ -1098,21 +1184,28 @@ class CompiledModel:
                 artifact_rejects=self._artifact_rejects,
                 artifact_saves=self._artifact_saves,
                 verifies=self._verifies,
+                tile_probes=self._tile_probes,
             )
 
     def compile_for(self, example, precision: Union[None, str, np.dtype] = None) -> PlanStats:
         """Eagerly compile the plan that would serve ``example``'s shape.
 
-        The example is bucketed and precision-cast exactly like a live
-        request, so the returned stats describe the plan requests of this
-        size (and policy) will hit.
+        The example is precision-cast, cut to the replay tile and bucketed
+        exactly like a live request, so the returned stats describe the plan
+        requests of this size (and policy) will hit — for a batch above the
+        tile, the tile plan.
         """
+        return self._get_or_compile(self._plan_input(example, precision)).stats
+
+    def _plan_input(self, example, precision) -> np.ndarray:
+        """``example`` cast, cut to its replay tile and bucket-padded."""
         dtype = self._resolve_call_dtype(precision)
         array = example.data if isinstance(example, Tensor) else np.asarray(example)
         if array.dtype != dtype:
             array = array.astype(dtype)
-        array, _ = self._pad_to_bucket(array)
-        return self._get_or_compile(array).stats
+        if array.ndim > 0 and array.shape[0] > 1:
+            array = array[: self.tile_rows(array.shape, dtype)]
+        return self._pad_to_bucket(array)[0]
 
     def artifact_key(self, shape: Tuple[int, ...], precision: Union[None, str, np.dtype] = None) -> str:
         """The artifact trace hash serving an (already bucketed) input shape.
@@ -1137,11 +1230,7 @@ class CompiledModel:
         already be spot-checked — or rejected and republished — by the
         parent.
         """
-        dtype = self._resolve_call_dtype(precision)
-        array = example.data if isinstance(example, Tensor) else np.asarray(example)
-        if array.dtype != dtype:
-            array = array.astype(dtype)
-        array, _ = self._pad_to_bucket(array)
+        array = self._plan_input(example, precision)
         plan = self._get_or_compile(array)
         if plan.pending_parity:
             probe = np.ascontiguousarray(array)

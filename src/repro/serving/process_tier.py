@@ -1016,12 +1016,15 @@ class ProcessShardExecutor:
         Dispatch granularity of bulk batches.  Smaller chunks bound how
         long a queued ``interactive`` request can be stuck behind bulk
         work already in flight (one chunk's forward), at a small
-        amortisation cost.
+        amortisation cost.  Chunks are also capped at the provider's replay
+        tile (:meth:`~repro.runtime.CompiledModel.tile_rows`), so workers
+        bind the same tile plan the parent warms and serves in-process.
 
     Workers, segments and dispatchers spawn **lazily** on the first
     dispatch to each shard, so constructing a service (or serving purely
     through its thread-side caches) starts no processes — and the segment
-    arena can be sized from the first request's actual plan layout.
+    arena is sized exactly from a plan's layout (the largest job's, once
+    warmed).
     """
 
     def __init__(
@@ -1143,34 +1146,49 @@ class ProcessShardExecutor:
         pset.keys[memo_key] = key
         return key
 
-    def _layout_for(self, shard: int, key: str,
-                    pset: Optional[_ProviderSet] = None) -> _SegmentLayout:
-        """Size one shard's segment from its first plan's buffer layout."""
+    def _job_rows(self, shard: int, dtype: np.dtype,
+                  pset: Optional[_ProviderSet] = None) -> int:
+        """Rows per dispatched job: the chunk size, capped at the replay tile."""
         provider = self.provider(shard, pset=pset)
+        shape = (self._chunk_rows,) + self._window_shape
+        return min(self._chunk_rows, provider.tile_rows(shape, precision=dtype.name))
+
+    def _layout_for(self, shard: int, job: _Job,
+                    pset: Optional[_ProviderSet] = None) -> _SegmentLayout:
+        """Size one shard's segment from a plan's exact buffer layout.
+
+        Every job is at most one tile, so the plan of the largest job shape
+        bounds every workspace the worker binds at this dtype; the arena is
+        that plan's workspace when the parent already holds it (always
+        after a warm-up), else the first job's — never a compile just to
+        size memory.  A plan that does not fit binds on the worker's heap
+        instead: its output is then copied into the response slot rather
+        than published in place — slower, never wrong.
+        """
+        provider = self.provider(shard, pset=pset)
+        dtype = job.array.dtype
+        rows = bucket_batch_size(self._job_rows(shard, dtype, pset=pset), provider.bucket_cap)
+        largest = provider.artifact_key((rows,) + self._window_shape, precision=dtype.name)
         spec = None
-        for store in (provider.artifact_store, self._spill):
-            # peek, not load: sizing the segment must not distort the
-            # store's warm-start load/memo-hit accounting.
-            cached = store.peek(key)
-            if cached is not None:
-                spec = cached[0]
+        for key in (largest, job.key):
+            for store in (provider.artifact_store, self._spill):
+                # peek, not load: sizing the segment must not distort the
+                # store's warm-start load/memo-hit accounting.
+                cached = store.peek(key)
+                if cached is not None:
+                    spec = cached[0]
+                    break
+            if spec is not None:
                 break
-        rows = bucket_batch_size(self._chunk_rows, provider.bucket_cap)
         request_cap = rows * int(np.prod(self._window_shape)) * 8
         response_cap = max(rows * self._output_length * self._shard_span(shard) * 8, 4096)
         if spec is not None:
-            first_rows = max(int(spec.stats.input_shape[0]), 1)
-            workspace = plan_workspace_nbytes(spec.storage_sizes)
-            # Workspace grows ~linearly in the batch; one extra multiple
-            # absorbs the nonlinear parts.  A plan that still does not fit
-            # binds on the worker's heap instead — slower, never wrong.
-            scale = -(-rows // first_rows) + 1
-            arena = workspace * scale
-        else:  # pragma: no cover - defensive: key was just ensured
+            arena = plan_workspace_nbytes(spec.storage_sizes)
+        else:  # pragma: no cover - defensive: the job's key was just ensured
             arena = 64 * 1024 * 1024
         return _SegmentLayout.build(request_cap, response_cap, arena)
 
-    def _ensure_worker(self, shard: int, key: str,
+    def _ensure_worker(self, shard: int, job: _Job,
                        pset: Optional[_ProviderSet] = None) -> _ProcessWorker:
         worker = self._workers[shard]
         if worker is not None:
@@ -1182,7 +1200,7 @@ class ProcessShardExecutor:
                     shard,
                     self._ctx,
                     self.start_method,
-                    self._layout_for(shard, key, pset=pset),
+                    self._layout_for(shard, job, pset=pset),
                     self._store_roots,
                     self.provider(shard, pset=pset).threads,
                     self._request_delay,
@@ -1197,9 +1215,10 @@ class ProcessShardExecutor:
                    dtype: np.dtype, pset: Optional[_ProviderSet] = None,
                    deadline: Optional[Deadline] = None) -> List[_Job]:
         provider = self.provider(shard, pset=pset)
+        rows = self._job_rows(shard, dtype, pset=pset)
         jobs: List[_Job] = []
-        for start in range(0, array.shape[0], self._chunk_rows):
-            chunk = array[start : start + self._chunk_rows]
+        for start in range(0, array.shape[0], rows):
+            chunk = array[start : start + rows]
             trim = chunk.shape[0]
             padded, _ = pad_batch_to_bucket(chunk, provider.bucket_cap)
             padded = np.ascontiguousarray(padded)
@@ -1210,7 +1229,7 @@ class ProcessShardExecutor:
 
     def _dispatch(self, shard: int, jobs: List[_Job],
                   pset: Optional[_ProviderSet] = None) -> None:
-        worker = self._ensure_worker(shard, jobs[0].key, pset=pset)
+        worker = self._ensure_worker(shard, jobs[0], pset=pset)
         for job in jobs:
             worker.queue.put(job)
         with self._stats_lock:

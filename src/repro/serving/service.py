@@ -1262,7 +1262,8 @@ class ForecastService(ForecastFrontend):
         A freshly started service pays its trace/fuse/schedule work — or,
         pointed at a saved artifact store (``artifact_dir=``), a few disk
         binds — here instead of on the first unlucky requests.  One plan
-        per batch size is prepared; by default a doubling ladder up to the
+        per batch size is prepared (sizes above the replay tile share the
+        tile plan); by default a doubling ladder up to the
         batcher's ``max_batch_size``.  Returns the
         :class:`~repro.runtime.PlanStats` of every warmed plan.  No-op
         under the autograd runtime, which has nothing to compile.

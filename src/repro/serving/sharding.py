@@ -351,8 +351,9 @@ class ShardedForecastService(ForecastFrontend):
         interactive covers ``forecast_latest`` misses.
     bulk_chunk_rows:
         Process-tier dispatch granularity: bulk batches are split into
-        chunks of this many rows, bounding how long an interactive
-        request waits behind bulk work already in flight.
+        chunks of this many rows (at most one replay tile), bounding how
+        long an interactive request waits behind bulk work already in
+        flight.
 
     Example
     -------
@@ -1190,7 +1191,8 @@ class ShardedForecastService(ForecastFrontend):
         """Build every shard's batch-size plan ladder before traffic.
 
         Each worker prepares one plan per batch size (doubling up to its
-        batcher's ``max_batch_size`` by default) against the **shared**
+        batcher's ``max_batch_size`` by default; sizes above the replay
+        tile share the tile plan) against the **shared**
         artifact store: a restarted fleet binds all its plans from disk —
         and a replica fleet compiles each trace once, the rest hitting the
         store's in-process memo.  Returns the stats of every warmed plan

@@ -13,9 +13,9 @@ these kernels:
   bookkeeping or closure allocation per op.
 
 Because both modes run the *same* kernel code in the *same* order, the
-compiled forward pass is bit-identical to the autograd forward pass (up to
-BLAS non-determinism, in practice ``<= 1e-10``; see
-``tests/runtime/test_parity.py``).
+float64 compiled forward pass is bit-identical to the autograd forward pass
+(``max|diff| == 0``; see ``tests/runtime/test_parity.py`` and
+``tests/runtime/test_replay_tiles.py``).
 
 Conventions
 -----------

@@ -194,10 +194,24 @@ def tensordot_last(a: Tensor, b: Tensor) -> Tensor:
 
     Equivalent to ``numpy.tensordot(a, b, axes=1)`` and used where models mix
     features with a weight matrix while keeping arbitrary leading axes.
+
+    With three or more axes the product is a stacked ``(B, rows, K) @ (K, N)``
+    matmul — one GEMM of fixed shape per leading-batch slice — rather than
+    one ``(B·rows, K)`` GEMM.  BLAS picks its kernel (and so its summation
+    order) from the row count, so a flattened product would make each
+    slice's bits depend on how many slices share the call; the stacked form
+    makes a model forward batch-invariant, which is what lets the runtime
+    replay a large batch as tiles of a small plan bit-exactly.  Inputs with
+    fewer than three axes stay one GEMM.
     """
     a, b = _coerce(a), _coerce(b)
     lead_shape = a.shape[:-1]
-    flattened = a.reshape(-1, a.shape[-1])
+    if a.ndim >= 3:
+        # Explicit row count: ``reshape(B, -1, K)`` is ambiguous when B == 0.
+        rows = int(np.prod(a.shape[1:-1]))
+        flattened = a.reshape(a.shape[0], rows, a.shape[-1])
+    else:
+        flattened = a.reshape(-1, a.shape[-1])
     result = flattened.matmul(b)
     return result.reshape(*lead_shape, b.shape[-1])
 

@@ -18,6 +18,10 @@ from repro.runtime import (
     DEFAULT_BUCKET_CAP,
     bucket_batch_size,
     compile_module,
+    compile_plan,
+    engine,
+    plan_row_bytes,
+    replay_tile,
     resolve_bucket_cap,
 )
 from repro.tensor import Tensor, no_grad
@@ -198,3 +202,72 @@ class TestServingPathsPassRaggedThrough:
         # 5 requests coalesced into one flush, served by the bucket-8 plan.
         assert batcher.stats.flushes == 1
         assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [8]
+
+
+class TestReplayTiles:
+    """Batches above the replay tile replay the tile plan over row tiles.
+
+    The 7-node model's rows are 6,720 bytes wide, so the default budget
+    gives a 128-row tile (which is why the shape pins above still hold);
+    these tests shrink the budget to a 4-row tile.
+    """
+
+    TILE = 4
+
+    @pytest.fixture()
+    def row_bytes(self, model):
+        return plan_row_bytes(compile_plan(model, np.zeros((1, 12, NUM_NODES, 1))).spec)
+
+    @pytest.fixture()
+    def small_budget(self, row_bytes, monkeypatch):
+        monkeypatch.setattr(engine, "TILE_BUDGET_BYTES", self.TILE * row_bytes)
+
+    def test_default_budget_keeps_the_bucket_plans(self, model, row_bytes):
+        assert row_bytes == 6720
+        assert replay_tile(row_bytes) == 128
+        compiled = compile_module(model)
+        assert compiled.tile_rows((100, 12, NUM_NODES, 1)) == 128
+
+    def test_ragged_batches_are_bit_exact(self, model, small_budget):
+        compiled = compile_module(model)
+        rng = np.random.default_rng(90)
+        for batch in RAGGED_BATCHES:
+            x = rng.normal(size=(batch, 12, NUM_NODES, 1))
+            produced = compiled(x)
+            assert produced.shape[0] == batch
+            assert np.array_equal(produced, _reference(model, x))
+
+    def test_plan_cache_holds_only_tile_sized_plans(self, model, small_budget):
+        compiled = compile_module(model)
+        rng = np.random.default_rng(91)
+        for batch in RAGGED_BATCHES:
+            compiled(rng.normal(size=(batch, 12, NUM_NODES, 1)))
+        # 17 = 4 tiles + 1 row, 100 = 25 tiles: every shape is <= the tile.
+        shapes = sorted(stats.input_shape[0] for stats in compiled.plan_stats())
+        assert shapes == [1, 4]
+
+    def test_large_batch_compiles_no_large_plan(self, model, small_budget):
+        compiled = compile_module(model)
+        x = np.random.default_rng(92).normal(size=(1000, 12, NUM_NODES, 1))
+        assert np.array_equal(compiled(x), _reference(model, x))
+        assert [stats.input_shape[0] for stats in compiled.plan_stats()] == [self.TILE]
+        info = compiled.cache_info()
+        # One tile plan, plus one one-row probe that sized the tile.
+        assert (info.compiles, info.tile_probes) == (1, 1)
+
+    def test_compile_for_reports_the_tile_plan(self, model, small_budget):
+        compiled = compile_module(model)
+        stats = compiled.compile_for(np.zeros((1000, 12, NUM_NODES, 1)))
+        assert stats.input_shape[0] == self.TILE
+        assert compiled.tile_rows((1000, 12, NUM_NODES, 1)) == self.TILE
+        # The tile plan then serves a large batch without another compile.
+        compiled(np.zeros((64, 12, NUM_NODES, 1)))
+        assert compiled.cache_info().compiles == 1
+
+    def test_cached_row_plan_sizes_the_tile_without_a_probe(self, model, small_budget):
+        compiled = compile_module(model)
+        rng = np.random.default_rng(93)
+        compiled(rng.normal(size=(1, 12, NUM_NODES, 1)))
+        compiled(rng.normal(size=(9, 12, NUM_NODES, 1)))
+        assert compiled.cache_info().tile_probes == 0
+        assert sorted(stats.input_shape[0] for stats in compiled.plan_stats()) == [1, 4]

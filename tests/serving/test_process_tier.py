@@ -286,6 +286,42 @@ class TestProcessParity:
         assert store.stats().saves >= 2
 
 
+class TestReplayTiles:
+    """Jobs are cut at the provider's replay tile, so a worker binds the same
+    tile plan the parent compiled, and its arena is that plan's workspace."""
+
+    TILE = 2
+
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_jobs_are_tile_sized_and_bind_the_tile_plan(
+        self, tiny_model, forecasting_data, monkeypatch, start_method
+    ):
+        from repro.runtime import CompiledModel, engine, plan_row_bytes
+
+        config = tiny_model.config
+        window_shape = (config.input_length, config.num_nodes, config.input_dim)
+        row_bytes = plan_row_bytes(compile_plan(tiny_model, np.zeros((1,) + window_shape)).spec)
+        monkeypatch.setattr(engine, "TILE_BUDGET_BYTES", self.TILE * row_bytes)
+        batch = forecasting_data.scaler.transform(_raw_windows(forecasting_data, 5))
+        reference = CompiledModel(tiny_model)(batch)
+        with _executor(
+            tiny_model, forecasting_data, start_method=start_method, bulk_chunk_rows=32
+        ) as executor:
+            produced = executor.call(0, batch)
+            provider = executor.provider(0)
+            jobs = executor._make_jobs(0, batch, "bulk", np.dtype("float64"))
+            tile_key = provider.artifact_key((self.TILE,) + window_shape)
+            arena = executor._workers[0].layout.arena_nbytes
+            stats = executor.stats()
+        assert np.array_equal(produced, reference)
+        assert [job.array.shape[0] for job in jobs] == [2, 2, 1]
+        assert {job.key for job in jobs[:2]} == {tile_key}
+        assert (stats.bulk_batches, stats.bulk_rows) == (3, 5)
+        assert all(s.input_shape[0] <= self.TILE for s in provider.plan_stats())
+        tile_spec = provider.artifact_store.peek(tile_key)[0]
+        assert arena == plan_workspace_nbytes(tile_spec.storage_sizes)
+
+
 class TestPriorityLanes:
     def test_interactive_overtakes_bulk_backfill(self, tiny_model, forecasting_data):
         windows = _raw_windows(forecasting_data, 6)

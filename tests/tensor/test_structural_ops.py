@@ -106,3 +106,43 @@ class TestWindowsAndEncodings:
         out.sum().backward()
         assert x.grad.shape == x_value.shape
         assert w.grad.shape == w_value.shape
+
+    def test_tensordot_last_is_batch_invariant(self):
+        """Each leading-batch slice is its own GEMM: a row's bits do not
+        depend on how many rows share the call.  The shape is DyHSL's output
+        head on 170 sensors, where one flattened GEMM changes BLAS kernel
+        with the batch."""
+        rng = np.random.default_rng(1)
+        x_value = rng.normal(size=(16, 170, 32))
+        w_value = rng.normal(size=(32, 12))
+        out = ops.tensordot_last(Tensor(x_value), Tensor(w_value)).numpy()
+        assert out.shape == (16, 170, 12)
+        assert np.allclose(out, np.einsum("abc,cd->abd", x_value, w_value))
+        for row in range(16):
+            alone = ops.tensordot_last(Tensor(x_value[row : row + 1]), Tensor(w_value)).numpy()
+            assert np.array_equal(out[row], alone[0])
+
+    def test_tensordot_last_empty_leading_batch(self):
+        rng = np.random.default_rng(2)
+        x = Tensor(np.zeros((0, 3, 4)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        out = ops.tensordot_last(x, w)
+        assert out.shape == (0, 3, 6)
+        out.sum().backward()
+        assert x.grad.shape == (0, 3, 4)
+        assert np.array_equal(w.grad, np.zeros((4, 6)))
+
+    def test_tensordot_last_keeps_2d_input_one_gemm(self):
+        from repro.nn import Linear
+        from repro.runtime import compile_plan
+
+        rng = np.random.default_rng(3)
+        x_value = rng.normal(size=(9, 4))
+        w_value = rng.normal(size=(4, 6))
+        out = ops.tensordot_last(Tensor(x_value), Tensor(w_value)).numpy()
+        assert np.array_equal(out, x_value @ w_value)
+        layer = Linear(4, 6, bias=False).eval()
+        flat = [s for s in compile_plan(layer, x_value).spec.steps if s.name == "matmul"]
+        assert [s.out_shape for s in flat] == [(9, 6)]
+        stacked = [s for s in compile_plan(layer, rng.normal(size=(5, 3, 4))).spec.steps if s.name == "matmul"]
+        assert [s.out_shape for s in stacked] == [(5, 3, 6)]
