@@ -72,13 +72,12 @@ def main() -> None:
         compiled(window[None])
         second_ms = (time.perf_counter() - started) * 1e3
         info = compiled.cache_info()
-        compiles, loads = info.compiles, info.artifact_loads
+        compiles, loads, plans = info.compiles, info.artifact_loads, info.plans
     elif mode == "fleet":
         kwargs = {"artifact_dir": store} if store else {}
         with ShardedForecastService(
             model,
             num_shards=FLEET_SHARDS,
-            mode="nodes",
             cache_entries=0,
             precision=precision,
             **kwargs,
@@ -95,6 +94,7 @@ def main() -> None:
             ]
         compiles = sum(info.compiles for info in infos)
         loads = sum(info.artifact_loads for info in infos)
+        plans = sum(info.plans for info in infos)
     else:  # pragma: no cover - driver passes a known mode
         raise SystemExit(f"unknown mode {mode!r}")
 
@@ -107,6 +107,7 @@ def main() -> None:
                 "second_ms": second_ms,
                 "compiles": compiles,
                 "artifact_loads": loads,
+                "plans": plans,
             }
         )
     )

@@ -15,14 +15,10 @@ Three levers stack on the serving path:
    bounds the plan cache under ragged traffic.
 4. **Multi-worker sharding** (PR 4): ``ShardedForecastService`` splits a
    query stream round-robin over ``K`` worker threads with independent
-   compiled replicas (``mode="replicas"``), or partitions the sensor set
-   with per-shard sliced-output plans (``mode="nodes"``); either way the
-   merged outputs stay bit-identical to the single worker.
-5. **Precision policy + island parallelism** (PR 5): float32 plans halve
-   the memory traffic the fused kernels are bound by (the documented
-   tolerance contract bounds the drift; float64 plans stay bit-exact),
-   and the island scheduler replays independent plan branches on a
-   thread pool (``REPRO_RUNTIME_THREADS``).
+   compiled replicas; the outputs stay bit-identical to the single worker.
+5. **Precision policy**: float32 plans halve the memory traffic the
+   fused kernels are bound by (the documented tolerance contract bounds
+   the drift; float64 plans stay bit-exact).
 
 Every table is also recorded machine-readably in
 ``benchmarks/BENCH_runtime.json`` (req/s, speedup-vs-autograd, precision,
@@ -400,11 +396,7 @@ def test_precision_throughput():
     contract asserts **>= 1.3x** over the float64 compiled runtime
     (measured ~1.8x on the recording box) with the documented tolerance
     (rtol=1e-4, atol=1e-4 on normalised inputs) holding against the
-    bit-exact float64 output.  A ``threads=2`` float32 row records the
-    island scheduler's contribution for context; on a single-core box it
-    measures scheduling overhead, so it carries no contract here (CI
-    exercises the scheduler via the determinism suites and the
-    ``REPRO_RUNTIME_THREADS=2`` perf-smoke configuration).
+    bit-exact float64 output.
     """
     concurrency = 16
     repeats = 7
@@ -415,7 +407,6 @@ def test_precision_throughput():
 
     compiled64 = compile_module(model)
     compiled32 = compile_module(model, precision="float32")
-    compiled32_mt = compile_module(model, precision="float32", threads=2)
 
     def autograd_forward():
         with no_grad():
@@ -426,20 +417,13 @@ def test_precision_throughput():
         reference = model(Tensor(batch)).data
     out64 = compiled64(batch)
     out32 = compiled32(batch)
-    out32_mt = compiled32_mt(batch)
     assert float(np.abs(out64 - reference).max()) == 0.0
     # The documented float32 tolerance contract, against the exact output.
     np.testing.assert_allclose(out32, out64, rtol=1e-4, atol=1e-4)
-    assert np.array_equal(out32_mt, out32), "threads must not change the numbers"
     f32_diff = float(np.abs(out32 - out64).max())
 
-    autograd_s, f64_s, f32_s, f32_mt_s = _best_of_interleaved(
-        [
-            autograd_forward,
-            lambda: compiled64(batch),
-            lambda: compiled32(batch),
-            lambda: compiled32_mt(batch),
-        ],
+    autograd_s, f64_s, f32_s = _best_of_interleaved(
+        [autograd_forward, lambda: compiled64(batch), lambda: compiled32(batch)],
         repeats,
     )
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -447,7 +431,6 @@ def test_precision_throughput():
         {
             "configuration": "autograd",
             "precision": "float64",
-            "threads": 1,
             "req/s": round(concurrency / autograd_s, 1),
             "vs f64 runtime": f"{f64_s / autograd_s:.2f}x",
             "max |diff|": "0.0e+00",
@@ -455,7 +438,6 @@ def test_precision_throughput():
         {
             "configuration": "compiled",
             "precision": "float64",
-            "threads": 1,
             "req/s": round(concurrency / f64_s, 1),
             "vs f64 runtime": "1.00x",
             "max |diff|": "0.0e+00",
@@ -463,24 +445,15 @@ def test_precision_throughput():
         {
             "configuration": "compiled",
             "precision": "float32",
-            "threads": 1,
             "req/s": round(concurrency / f32_s, 1),
             "vs f64 runtime": f"{f64_s / f32_s:.2f}x",
-            "max |diff|": f"{f32_diff:.1e}",
-        },
-        {
-            "configuration": "compiled",
-            "precision": "float32",
-            "threads": 2,
-            "req/s": round(concurrency / f32_mt_s, 1),
-            "vs f64 runtime": f"{f64_s / f32_mt_s:.2f}x",
             "max |diff|": f"{f32_diff:.1e}",
         },
     ]
     print_table(
         f"Precision sweep — {num_nodes} sensors (0.5x PEMS08), batch {concurrency}, {cores} core(s)",
         rows,
-        ["configuration", "precision", "threads", "req/s", "vs f64 runtime", "max |diff|"],
+        ["configuration", "precision", "req/s", "vs f64 runtime", "max |diff|"],
     )
     record_bench(
         "precision",
@@ -493,7 +466,6 @@ def test_precision_throughput():
                 {
                     "configuration": row["configuration"],
                     "precision": row["precision"],
-                    "threads": row["threads"],
                     "workers": 1,
                     "rps": row["req/s"],
                     "speedup_vs_autograd": round(autograd_s * row["req/s"] / concurrency, 3),
@@ -660,8 +632,7 @@ def test_sharded_serving_sweep():
 
     Replays the same 16-window query stream through the single-worker
     service and through ``ShardedForecastService`` with 1, 2 and 4
-    replica-mode workers (plus a 2-shard sensor-partitioned row for
-    context).  The acceptance contract is **bit-parity**: every sharded
+    replica workers.  The acceptance contract is **bit-parity**: every sharded
     configuration must produce ``max |diff| == 0`` against the
     single-worker service.
 
@@ -672,11 +643,7 @@ def test_sharded_serving_sweep():
     same sweep records the scheduling overhead instead — the sweep
     therefore asserts a hard overhead floor everywhere and the actual
     scaling gain only where there are cores to scale onto (the recorded
-    ``workers x cores`` column makes the regime explicit).  Node-sharded
-    fan-out runs the full trunk once *per shard* (DyHSL couples all
-    sensors), so its single-core req/s is expected to sit near
-    ``1/num_shards`` of the single worker; its value is node-routed
-    traffic and multi-core latency, not single-core throughput.
+    ``workers x cores`` column makes the regime explicit).
     """
     num_nodes = max(8, int(round(PEMS08_NODES * 0.5)))
     concurrency = 16
@@ -689,7 +656,7 @@ def test_sharded_serving_sweep():
     single = ForecastService(model, cache_entries=0)
     reference = single.forecast_many(windows)  # warm-up: compiles the plan
 
-    configs = [("replicas", shards) for shards in (1, 2, 4)] + [("nodes", 2)]
+    configs = [("replicas", shards) for shards in (1, 2, 4)]
     services = []
     for mode, shards in configs:
         service = ShardedForecastService(

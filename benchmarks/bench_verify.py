@@ -1,7 +1,7 @@
 """Verify-time overhead — static plan verification stays off the hot path.
 
-``REPRO_RUNTIME_VERIFY=1`` runs the full rule set (wave races, lifetimes,
-dtype flow, fusion legality, workspace layout) once per fresh compile and
+``REPRO_RUNTIME_VERIFY=1`` runs the full rule set (lifetimes, dtype
+flow, fusion legality, workspace layout) once per fresh compile and
 once per disk artifact parse.  The contract this bench records and
 asserts:
 
@@ -12,9 +12,9 @@ asserts:
   verify work: hot-path latency is measured with the gate on and off on
   the same warmed plan.
 
-Measured on a serial float32 TCN plan and a wave-parallel multi-window
-DyHSL plan (the largest step count the test fleet compiles), recorded
-under the ``verify`` section of ``BENCH_runtime.json``.
+Measured on a float32 TCN plan and a multi-window DyHSL plan (the
+largest step count the test fleet compiles), recorded under the
+``verify`` section of ``BENCH_runtime.json``.
 
 Run with::
 
@@ -61,8 +61,8 @@ def _subjects():
     )
     dyhsl = DyHSL(config, adjacency).eval()
     return [
-        ("TCN/float32/serial", tcn, dict(precision="float32")),
-        ("DyHSL/float64/threads=4", dyhsl, dict(threads=4)),
+        ("TCN/float32", tcn, dict(precision="float32")),
+        ("DyHSL/float64", dyhsl, dict()),
     ]
 
 

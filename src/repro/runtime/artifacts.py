@@ -1,11 +1,11 @@
 """Durable, versioned plan artifacts: kill fleet-wide compile cold start.
 
-Every worker in a sharded service used to re-trace, re-fuse and re-schedule
+Every worker in a sharded service used to re-trace, re-fuse and re-pool
 identical kernel plans on its first request — per batch bucket and per
 precision policy, again on every restart and every fork.  This module makes
 a compiled plan a *durable artifact*: the complete
 :class:`~repro.runtime.engine.PlanSpec` (step list with fused chains,
-pooled workspace layout, island/wave schedule, dtype policy,
+pooled workspace layout, dtype policy,
 :class:`~repro.runtime.engine.PlanStats`) plus the constant slot values are
 serialised into one ``.npz`` file keyed by a **trace hash** over
 
@@ -13,7 +13,7 @@ serialised into one ``.npz`` file keyed by a **trace hash** over
 * the parameter *values* (constant folding bakes weights into plans, so a
   weight change must change the key),
 * the input shape (after bucketing), the execution precision, the bucket
-  cap, and the compile options (folding, fusion, parallel binding).
+  cap, and the compile options (folding, fusion).
 
 A fresh process — a restarted worker, a newly forked shard — looks the
 artifact up by recomputing the hash from its live module, so a stale
@@ -72,8 +72,9 @@ __all__ = [
 #: lowering, so only the version keeps a warm store from replaying an older
 #: plan.  Loaders reject artifacts from other versions (the cost is one
 #: recompile, never a wrong plan).  Version 2: batch-major ``spmm`` steps.
-#: Version 3: stacked per-slice ``tensordot_last`` matmuls.
-ARTIFACT_FORMAT_VERSION = 3
+#: Version 3: stacked per-slice ``tensordot_last`` matmuls.  Version 4: no
+#: island/wave ``schedule`` in the spec, no ``slice``/``parallel`` key parts.
+ARTIFACT_FORMAT_VERSION = 4
 
 _SPEC_KEY = "__plan_spec__"
 _META_KEY = "__artifact_meta__"
@@ -131,10 +132,8 @@ def trace_hash(
     input_shape: Tuple[int, ...],
     dtype,
     *,
-    output_slice: Optional[Tuple[int, int]] = None,
     fold_constants: bool = True,
     fuse: bool = True,
-    parallel: bool = False,
     bucket_cap: Optional[int] = None,
     weights: Optional[str] = None,
 ) -> str:
@@ -152,10 +151,8 @@ def trace_hash(
         f"weights:{weights if weights is not None else weights_fingerprint(module)}",
         f"shape:{tuple(int(dim) for dim in input_shape)}",
         f"dtype:{np.dtype(dtype).name}",
-        f"slice:{output_slice}",
         f"fold:{bool(fold_constants)}",
         f"fuse:{bool(fuse)}",
-        f"parallel:{bool(parallel)}",
         f"bucket_cap:{bucket_cap}",
     )
     for part in parts:
@@ -312,7 +309,6 @@ def _spec_to_payload(spec: PlanSpec) -> Tuple[bytes, Dict[str, np.ndarray]]:
         "num_slots": spec.num_slots,
         "const_slots": list(spec.const_slots),
         "storage_sizes": list(spec.storage_sizes),
-        "schedule": spec.schedule,
         "steps": steps,
     }
     document["stats"] = stats
@@ -341,9 +337,6 @@ def _spec_from_payload(blob: bytes, arrays: Dict[str, np.ndarray]) -> PlanSpec:
     stats_doc["input_shape"] = tuple(stats_doc["input_shape"])
     stats_doc["fused_chain_lengths"] = tuple(stats_doc["fused_chain_lengths"])
     stats = PlanStats(**stats_doc)
-    schedule = document["schedule"]
-    if schedule is not None:
-        schedule = [[list(island) for island in wave] for wave in schedule]
     return PlanSpec(
         dtype=document["dtype"],
         input_slot=document["input_slot"],
@@ -352,7 +345,6 @@ def _spec_from_payload(blob: bytes, arrays: Dict[str, np.ndarray]) -> PlanSpec:
         const_slots=tuple(document["const_slots"]),
         steps=steps,
         storage_sizes=list(document["storage_sizes"]),
-        schedule=schedule,
         stats=stats,
     )
 

@@ -39,9 +39,10 @@ by walking the AST:
     jittered implementation.
 
 Findings reuse the plan verifier's :class:`~.plan.Diagnostic` with
-``path``/``line`` set.  Suppress a finding by putting
-``# lint: disable=RULE`` (comma-separate several, or ``all``) on the
-flagged line or the line directly above it.
+``path``/``line`` set.  Suppress a finding by putting the comment
+``#lint:disable=RULE`` (spaces allowed after ``#`` and ``:``;
+comma-separate several rules, or ``all``) on the flagged line or the line
+directly above it.
 
 The analysis is intra-procedural per class with a transitive summary
 pass: each function's acquired locks and blocking calls propagate

@@ -8,25 +8,12 @@ caught before it can serve a wrong answer.
 Rule catalogue
 --------------
 
-``P-SCHED``
-    Island/wave schedule well-formedness: every step scheduled exactly
-    once, island step indices in execution order, and every data
-    dependency ordered by the schedule (same island earlier, or a
-    strictly earlier wave).  A violated dependency is exactly the "wave
-    reassignment" corruption: a step could observe its operand before the
-    producing island ran.
-``P-RACE``
-    The wave-race detector: same-wave islands must have disjoint
-    workspace write intervals and no write/read overlap.  Storages are
-    carved from the pooled buffer at byte granularity
-    (:func:`storage_layout`), so two islands conflict exactly when they
-    touch the same storage's byte interval in the same wave — the
-    condition under which ``Plan.execute(threads=N)`` would race.
 ``P-LIFE``
-    The lifetime checker: every slot a step reads must be dominated by a
-    write (an earlier step's output) or be a constant/input slot, and no
-    step may read a slot whose pooled storage has since been reassigned
-    to another slot (use-after-release).
+    The lifetime checker: every slot is written by at most one step, every
+    slot a step reads must be dominated by a write (an earlier step's
+    output) or be a constant/input slot, and no step may read a slot whose
+    pooled storage has since been reassigned to another slot
+    (use-after-release).
 ``P-DTYPE``
     The dtype-flow audit: the plan dtype is a supported precision, every
     floating constant is stored at the plan dtype (a float64 constant in
@@ -75,7 +62,7 @@ __all__ = [
 ]
 
 #: Rule ids of the plan analyses, in the order they run.
-PLAN_RULES = ("P-LAYOUT", "P-SCHED", "P-RACE", "P-LIFE", "P-DTYPE", "P-FUSE")
+PLAN_RULES = ("P-LAYOUT", "P-LIFE", "P-DTYPE", "P-FUSE")
 
 #: Kernels whose float32 execution must accumulate in float64
 #: (the ``_reduce_dtype`` contract of :mod:`repro.tensor.kernels`).
@@ -285,120 +272,6 @@ def _check_layout(spec: PlanSpec, out: List[Diagnostic]) -> None:
             ))
 
 
-def _check_schedule_and_races(
-    spec: PlanSpec,
-    slot_storage: Dict[int, Optional[int]],
-    producer: Dict[int, int],
-    out: List[Diagnostic],
-) -> None:
-    if spec.schedule is None:
-        return
-    num_steps = len(spec.steps)
-    island_of: Dict[int, Tuple[int, int]] = {}  # step -> (wave, island ordinal)
-    seen: Dict[int, int] = {}
-    for wave_id, wave in enumerate(spec.schedule):
-        for ordinal, island in enumerate(wave):
-            previous = -1
-            for index in island:
-                if not 0 <= index < num_steps:
-                    out.append(Diagnostic(
-                        "P-SCHED",
-                        f"schedule references step {index}; the plan has {num_steps}",
-                        steps=(index,),
-                    ))
-                    continue
-                if index in seen:
-                    out.append(Diagnostic(
-                        "P-SCHED",
-                        f"step {index} is scheduled twice",
-                        steps=(index,),
-                    ))
-                seen[index] = seen.get(index, 0) + 1
-                if index <= previous:
-                    out.append(Diagnostic(
-                        "P-SCHED",
-                        f"island steps out of execution order: {index} after {previous}",
-                        steps=(previous, index),
-                    ))
-                previous = index
-                island_of[index] = (wave_id, ordinal)
-    missing = [index for index in range(num_steps) if index not in seen]
-    if missing:
-        out.append(Diagnostic(
-            "P-SCHED",
-            f"{len(missing)} step(s) missing from the schedule "
-            f"(first: {missing[:4]})",
-            steps=tuple(missing[:4]),
-        ))
-    if missing or len(seen) != num_steps:
-        return  # structural breakage; dependency/race checks would cascade
-
-    # Dependency order: every operand's producer runs in the same island
-    # earlier, or in a strictly earlier wave.
-    for index, step in enumerate(spec.steps):
-        wave, island = island_of[index]
-        for slot in step.in_slots:
-            source = producer.get(slot)
-            if source is None:
-                continue  # input/const slot; undefined reads are P-LIFE
-            src_wave, src_island = island_of[source]
-            ordered = src_wave < wave or (
-                (src_wave, src_island) == (wave, island) and source < index
-            )
-            if not ordered:
-                out.append(Diagnostic(
-                    "P-SCHED",
-                    f"step {index} ({step.name}) reads slot {slot} produced by "
-                    f"step {source} in wave {src_wave}; the schedule does not "
-                    f"order the producer before it",
-                    steps=(source, index),
-                ))
-
-    # Wave races: same-wave islands touching one storage's byte interval.
-    intervals = storage_layout(spec.storage_sizes)
-    for wave_id, wave in enumerate(spec.schedule):
-        if len(wave) < 2:
-            continue
-        # storage -> (island ordinal, step index, "write"/"read")
-        touches: Dict[int, List[Tuple[int, int, str]]] = {}
-        for ordinal, island in enumerate(wave):
-            for index in island:
-                step = spec.steps[index]
-                if step.storage is not None:
-                    touches.setdefault(step.storage, []).append((ordinal, index, "write"))
-                for slot in step.in_slots:
-                    storage = slot_storage.get(slot)
-                    if storage is not None:
-                        touches.setdefault(storage, []).append((ordinal, index, "read"))
-        for storage, accesses in touches.items():
-            islands_writing = {o for o, _i, kind in accesses if kind == "write"}
-            islands_touching = {o for o, _i, _k in accesses}
-            # A conflict needs a writer plus any second island on the same
-            # interval: two writers (W/W) or a writer and a reader (W/R).
-            conflict = len(islands_writing) >= 2 or (
-                islands_writing and islands_touching - islands_writing
-            )
-            if not conflict:
-                continue
-            if 0 <= storage < len(intervals):
-                offset, nbytes = intervals[storage]
-                byte_range = (offset, offset + nbytes)
-            else:  # pragma: no cover - P-LAYOUT already reported it
-                byte_range = None
-            steps = tuple(sorted(index for _o, index, _k in accesses))
-            kinds = sorted({kind for _o, _i, kind in accesses})
-            out.append(Diagnostic(
-                "P-RACE",
-                f"wave {wave_id}: islands "
-                f"{sorted(islands_writing | (islands_touching - islands_writing))} "
-                f"overlap on storage {storage} ({'/'.join(kinds)}) — "
-                f"concurrent replay would race",
-                steps=steps,
-                storage=storage,
-                byte_range=byte_range,
-            ))
-
-
 def _check_lifetime(
     spec: PlanSpec,
     slot_storage: Dict[int, Optional[int]],
@@ -602,7 +475,7 @@ def verify_spec(
         producer[step.out_slot] = index
     for index in duplicate:
         findings.append(Diagnostic(
-            "P-SCHED",
+            "P-LIFE",
             f"step {index} rewrites slot {spec.steps[index].out_slot}; plan "
             f"slots are written once",
             steps=(producer[spec.steps[index].out_slot], index),
@@ -610,7 +483,6 @@ def verify_spec(
     slot_storage = _slot_storages(spec)
 
     _check_layout(spec, findings)
-    _check_schedule_and_races(spec, slot_storage, producer, findings)
     _check_lifetime(spec, slot_storage, producer, findings)
     _check_dtype_flow(spec, values, findings)
     _check_fusion(spec, values, producer, findings)
@@ -628,7 +500,7 @@ def verify_plan(plan) -> VerifyReport:
     if spec is None:
         return VerifyReport(
             findings=(Diagnostic(
-                "P-SCHED",
+                "P-LAYOUT",
                 "plan carries no PlanSpec (hand-built); nothing to verify",
             ),),
             checked_rules=(),

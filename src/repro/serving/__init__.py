@@ -9,8 +9,7 @@ the ROADMAP's "serve heavy traffic" north star:
   the compiled graph-free runtime (:mod:`repro.runtime`) by default, with
   ``runtime="autograd"`` / ``REPRO_RUNTIME=autograd`` as the escape hatch;
 * :class:`ShardedForecastService` — the same query surface served by
-  ``num_shards`` concurrent workers (sensor-set or replica sharding),
-  bit-identical to the single-worker service;
+  ``num_shards`` concurrent full-model replicas, bit-identical to the single-worker service;
 * :class:`ProcessShardExecutor` — the ``executor="processes"`` backend of
   the sharded service: each shard's compiled plans replayed by a worker
   *process* over preallocated shared memory (escaping the interpreter
@@ -41,8 +40,8 @@ atomically, with in-flight requests completing on the old version.
 A **resilience layer** (:mod:`repro.serving.resilience`) runs through all
 three tiers: per-request deadlines (``deadline_ms=`` on every query,
 :class:`DeadlineExceeded` on expiry), bounded jittered-backoff retries of
-retryable failures, per-shard circuit breakers (replica reroute /
-``"nodes"``-mode :class:`PartialResult`), optional marked-stale degraded
+retryable failures, per-shard circuit breakers (replica reroute),
+optional marked-stale degraded
 serving (:class:`StaleForecast`), a shared-memory heartbeat watchdog for
 hung worker processes, and ``service.health()``.  It is proven by a
 deterministic fault-injection harness (:mod:`repro.serving.faults`):
@@ -103,7 +102,6 @@ from .resilience import (
     CircuitOpen,
     Deadline,
     DeadlineExceeded,
-    PartialResult,
     ResilienceConfig,
     ResilienceError,
     ResilientForward,
@@ -120,7 +118,6 @@ from .sharding import (
     SHARDING_MODES,
     ShardedForecastService,
     ShardedServiceStats,
-    partition_nodes,
 )
 
 __all__ = [
@@ -148,7 +145,6 @@ __all__ = [
     "ServiceOverloaded",
     "resolve_executor",
     "resolve_start_method",
-    "partition_nodes",
     "MicroBatcher",
     "PendingForecast",
     "AsyncForecast",
@@ -172,7 +168,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpen",
     "BreakerSnapshot",
-    "PartialResult",
     "ServiceHealth",
     "ShardHealth",
     "WatchdogConfig",

@@ -33,10 +33,8 @@ loop (see ``docs/serving_quickstart.md``):
   even when the ``auto_flush_at`` threshold was never reached, so trickle
   traffic stops waiting for the next submit (or for its caller to block
   in ``result()``);
-* :class:`AsyncForecast` — a composite handle assembling one forecast
-  from one or more :class:`PendingForecast` parts (the per-shard outputs
-  of a sharded service) plus a finalisation hook (denormalisation, cache
-  insertion).
+* :class:`AsyncForecast` — a handle pairing one :class:`PendingForecast`
+  with a finalisation hook (denormalisation, cache insertion).
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -117,23 +115,22 @@ class PendingForecast:
 
 
 class AsyncForecast:
-    """One forecast assembled from pending parts plus a finalisation hook.
+    """One forecast: a pending batch entry plus a finalisation hook.
 
-    ``parts`` are the :class:`PendingForecast` handles this forecast is
-    built from — one per owning shard in a sharded service, exactly one
-    for a single-worker service.  ``finalize`` maps the settled part
-    arrays to the caller-facing forecast (shard merging, denormalisation,
-    horizon truncation, cache insertion).  :meth:`result` drives the same
-    lazy-flush semantics as :class:`PendingForecast`, so a handle is
-    always answerable even when no background flusher is running.
+    ``pending`` is the :class:`PendingForecast` handle of the window's
+    batch-queue entry.  ``finalize`` maps the settled model output to the
+    caller-facing forecast (denormalisation, horizon truncation, cache
+    insertion).  :meth:`result` drives the same lazy-flush semantics as
+    :class:`PendingForecast`, so a handle is always answerable even when
+    no background flusher is running.
     """
 
     def __init__(
         self,
-        parts: Sequence[PendingForecast],
-        finalize: Callable[[List[np.ndarray]], np.ndarray],
+        pending: Optional[PendingForecast],
+        finalize: Callable[[np.ndarray], np.ndarray],
     ) -> None:
-        self._parts = list(parts)
+        self._pending = pending
         self._finalize = finalize
         self._value: Optional[np.ndarray] = None
         self._settled = False
@@ -141,23 +138,23 @@ class AsyncForecast:
     @classmethod
     def completed(cls, value: np.ndarray) -> "AsyncForecast":
         """A handle that is already settled (e.g. answered from the cache)."""
-        handle = cls((), lambda parts: value)
+        handle = cls(None, lambda output: value)
         handle._value = value
         handle._settled = True
         return handle
 
     @property
     def done(self) -> bool:
-        """Whether every part has been computed (or failed)."""
-        return self._settled or all(part.done for part in self._parts)
+        """Whether the forecast has been computed (or failed)."""
+        return self._settled or self._pending.done
 
     def result(self) -> np.ndarray:
-        """The raw-scale forecast; triggers lazy flushes if parts are pending.
+        """The raw-scale forecast; triggers a lazy flush if still pending.
 
-        Re-raises the underlying forward error if any part failed.
+        Re-raises the underlying forward error if the batch failed.
         """
         if not self._settled:
-            self._value = self._finalize([part.result() for part in self._parts])
+            self._value = self._finalize(self._pending.result())
             self._settled = True
         return self._value
 

@@ -1,7 +1,7 @@
 """Process-backed shard execution: shared-memory plan replay across cores.
 
-Every parallel layer below this one — island/wave replay, thread-sharded
-workers, the background flusher — shares one interpreter lock, so a
+Every parallel layer below this one — thread-sharded workers, the
+background flusher — shares one interpreter lock, so a
 multi-shard service shows near-zero overhead per worker but also near-zero
 *speedup* on a single box once the kernels stop releasing the GIL long
 enough.  :class:`ProcessShardExecutor` escapes that ceiling: each serving
@@ -15,8 +15,8 @@ Three design rules keep the hot path cheap and the answers bit-identical:
 **Never trace in the child.**  Workers only ever *bind* plans from a
 :class:`~repro.runtime.ArtifactStore` — either the deployment's own store
 or a parent-compiled, parity-spot-checked plan spilled to a temp store —
-so a child is a dumb replayer: no tracing, no fusing, no scheduling, no
-autograd, and a freshly (re)spawned worker is serving in milliseconds.
+so a child is a dumb replayer: no tracing, no fusing, no buffer pooling,
+no autograd, and a freshly (re)spawned worker is serving in milliseconds.
 
 **No pickling of array payloads.**  Request windows and forecast outputs
 travel through a preallocated ``multiprocessing.shared_memory`` segment
@@ -442,7 +442,7 @@ def _worker_get_plan(plans, stores, key, arena, layout):
     return plan
 
 
-def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, threads, message, request_delay) -> None:
+def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, message, request_delay) -> None:
     tag, seq, slot, key = message
     base = layout.request_offset(slot)
     try:
@@ -476,7 +476,7 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, threads
                 f"plan {key} expects {tuple(plan.spec.stats.input_shape)} "
                 f"{plan.spec.dtype}; request is {shape} {dtype.name}"
             )
-        result = plan.execute(window, threads=threads)
+        result = plan.execute(window)
     except Exception as error:
         _worker_reply_error(conn, shm, layout, slot, seq, f"{type(error).__name__}: {error}")
         return
@@ -510,7 +510,7 @@ def _worker_serve_one(conn, shm, seg_addr, plans, stores, arena, layout, threads
     conn.send(("res", seq, slot))
 
 
-def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0,
+def _worker_main(conn, shm_name, layout, store_roots, request_delay=0.0,
                  fault_plan=None) -> None:
     """Entry point of one shard's worker process: bind, replay, publish."""
     import gc
@@ -521,12 +521,6 @@ def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    # A forked child inherits the parent's (now thread-less) island pool
-    # object; reset it so the first threaded replay builds a fresh one.
-    from ..runtime import engine as _engine
-
-    _engine._POOL = None
-    _engine._POOL_WORKERS = 0
 
     # Resource-tracker hygiene: every multiprocessing child — spawn and
     # fork alike — inherits the PARENT's resource tracker (the tracker fd
@@ -569,8 +563,8 @@ def _worker_main(conn, shm_name, layout, store_roots, threads, request_delay=0.0
             beat += 1
             _write_heartbeat(shm, beat)
             _worker_serve_one(
-                conn, shm, seg_addr, plans, stores, arena, layout, threads,
-                message, request_delay,
+                conn, shm, seg_addr, plans, stores, arena, layout, message,
+                request_delay,
             )
     finally:
         # Drop every view into the mapping before closing it; a dangling
@@ -662,7 +656,7 @@ class _ProcessWorker:
     """One shard's worker process, its segment, and its dispatcher thread."""
 
     def __init__(self, shard: int, ctx, start_method: str, layout: _SegmentLayout,
-                 store_roots: Sequence[str], threads: int, request_delay: float,
+                 store_roots: Sequence[str], request_delay: float,
                  watchdog: Optional[WatchdogConfig] = None,
                  fault_plan: Optional[FaultPlan] = None) -> None:
         from multiprocessing import shared_memory
@@ -672,7 +666,6 @@ class _ProcessWorker:
         self._start_method = start_method
         self.layout = layout
         self._store_roots = list(store_roots)
-        self._threads = threads
         self._request_delay = request_delay
         self._watchdog = watchdog if watchdog is not None else WatchdogConfig()
         self._fault_plan = fault_plan
@@ -696,11 +689,15 @@ class _ProcessWorker:
 
     # -- process lifecycle ---------------------------------------------
     def _spawn(self) -> None:
+        # Clear the beacon: a respawn reuses the segment, and the dead
+        # worker's last beat must not be read as the new one's.  Until the
+        # new worker writes its first beacon it counts as booting.
+        self.shm.buf[0:_HB_NBYTES] = bytes(_HB_NBYTES)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self.process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self.shm.name, self.layout, self._store_roots,
-                  self._threads, self._request_delay, self._fault_plan),
+                  self._request_delay, self._fault_plan),
             name=f"repro-plan-worker-{self.shard}",
             daemon=True,
         )
@@ -839,11 +836,18 @@ class _ProcessWorker:
                 # false-positive; that bound is part of the config
                 # contract).
                 age = self.heartbeat_age()
-                if age is None or age > hang_timeout:
+                if age is None:
+                    # No beacon yet: the worker is still booting (a spawned
+                    # child imports the library first).  Boot time does not
+                    # count against the hang budget, so restart the clock;
+                    # a worker that dies while booting still fails the
+                    # liveness check above.
+                    sent_at = time.monotonic()
+                    continue
+                if age > hang_timeout:
                     raise _WorkerHung(
                         f"pid {self.process.pid} silent for {waited:.2f}s "
-                        f"(heartbeat age {'unknown' if age is None else f'{age:.2f}s'}, "
-                        f"hang_timeout_s={hang_timeout})"
+                        f"(heartbeat age {age:.2f}s, hang_timeout_s={hang_timeout})"
                     )
         try:
             message = self.conn.recv()
@@ -944,7 +948,7 @@ class _ProcessShardForward:
     """The per-shard ``forward_fn`` handed to a shard's micro-batcher.
 
     Call-compatible with the :class:`~repro.runtime.CompiledModel` it
-    replaces (arrays or Tensors in, ``(B, T', span)`` float64 arrays out;
+    replaces (arrays or Tensors in, ``(B, T', N)`` float64 arrays out;
     per-request ``precision=`` honoured) and delegating the plan-cache
     management surface (``cache_info`` / ``save_artifacts`` /
     ``compile_for``) to the shard's parent-side provider — warm-up, AOT
@@ -985,10 +989,6 @@ class _ProcessShardForward:
     def precision(self) -> str:
         return self._tier.provider(self._shard, pset=self._pset).precision
 
-    @property
-    def threads(self) -> int:
-        return self._tier.provider(self._shard, pset=self._pset).threads
-
 
 class ProcessShardExecutor:
     """Replay each serving shard's compiled plans in its own worker process.
@@ -999,12 +999,9 @@ class ProcessShardExecutor:
         The served module; compiled (and parity-spot-checked) only in the
         parent, by one :class:`~repro.runtime.CompiledModel` *provider* per
         shard.  Workers bind the resulting artifacts — they never trace.
-    slices:
-        Per-shard ``(lo, hi)`` output-column slices (node sharding), or
-        ``None`` for full-output replicas.
     window_shape / output_length / num_nodes:
         Geometry of the served model (request and response slot sizing).
-    precision / threads / artifact_store:
+    precision / artifact_store:
         As for the thread tier; the store (when given) is shared with the
         workers by *root path* — a worker binds from disk, not from the
         parent's memo.  Plans missing from disk (e.g. a read-only store)
@@ -1031,13 +1028,11 @@ class ProcessShardExecutor:
         self,
         model,
         *,
-        slices: Optional[Sequence[Tuple[int, int]]],
         num_shards: int,
         window_shape: Tuple[int, int, int],
         output_length: int,
         num_nodes: int,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_store: Optional[ArtifactStore] = None,
         start_method: Optional[str] = None,
         bulk_chunk_rows: int = 32,
@@ -1053,7 +1048,6 @@ class ProcessShardExecutor:
         self.start_method = resolve_start_method(start_method)
         self._ctx = mp.get_context(self.start_method)
         self.num_shards = num_shards
-        self._slices = list(slices) if slices is not None else None
         self._window_shape = tuple(int(dim) for dim in window_shape)
         self._output_length = int(output_length)
         self._num_nodes = int(num_nodes)
@@ -1064,7 +1058,6 @@ class ProcessShardExecutor:
         self._spill_root = tempfile.mkdtemp(prefix="repro-plan-spill-")
         self._spill = ArtifactStore(self._spill_root)
         self._precision = precision
-        self._threads = threads
         self._provider_store = artifact_store if artifact_store is not None else self._spill
         self._pset = self._build_pset(model)
         self._store_roots: List[str] = []
@@ -1084,14 +1077,8 @@ class ProcessShardExecutor:
         """One provider (compile/validate engine) per shard over ``model``."""
         return _ProviderSet(
             [
-                CompiledModel(
-                    model,
-                    output_slice=self._slices[shard] if self._slices is not None else None,
-                    precision=self._precision,
-                    threads=self._threads,
-                    artifact_dir=self._provider_store,
-                )
-                for shard in range(self.num_shards)
+                CompiledModel(model, precision=self._precision, artifact_dir=self._provider_store)
+                for _ in range(self.num_shards)
             ]
         )
 
@@ -1115,12 +1102,6 @@ class ProcessShardExecutor:
     def provider(self, shard: int, pset: Optional[_ProviderSet] = None) -> CompiledModel:
         """The parent-side compile/validate engine of one shard."""
         return (pset if pset is not None else self._pset).providers[shard]
-
-    def _shard_span(self, shard: int) -> int:
-        if self._slices is not None:
-            lo, hi = self._slices[shard]
-            return hi - lo
-        return self._num_nodes
 
     def _ensure_key(self, shard: int, shape: Tuple[int, ...], dtype: np.dtype,
                     pset: Optional[_ProviderSet] = None) -> str:
@@ -1181,7 +1162,7 @@ class ProcessShardExecutor:
             if spec is not None:
                 break
         request_cap = rows * int(np.prod(self._window_shape)) * 8
-        response_cap = max(rows * self._output_length * self._shard_span(shard) * 8, 4096)
+        response_cap = max(rows * self._output_length * self._num_nodes * 8, 4096)
         if spec is not None:
             arena = plan_workspace_nbytes(spec.storage_sizes)
         else:  # pragma: no cover - defensive: the job's key was just ensured
@@ -1202,7 +1183,6 @@ class ProcessShardExecutor:
                     self.start_method,
                     self._layout_for(shard, job, pset=pset),
                     self._store_roots,
-                    self.provider(shard, pset=pset).threads,
                     self._request_delay,
                     watchdog=self._watchdog,
                     fault_plan=self._fault_plan,
@@ -1279,7 +1259,7 @@ class ProcessShardExecutor:
             # the same arithmetic.
             return np.asarray(provider(array, precision=precision))
         if array.shape[0] == 0:
-            return np.empty((0, self._output_length, self._shard_span(shard)))
+            return np.empty((0, self._output_length, self._num_nodes))
         if deadline is not None:
             deadline.check("process-accept")
         dtype = np.dtype(resolve_precision(precision if precision is not None else provider.precision))
@@ -1288,48 +1268,6 @@ class ProcessShardExecutor:
         jobs = self._make_jobs(shard, array, lane, dtype, pset=pset, deadline=deadline)
         self._dispatch(shard, jobs, pset=pset)
         return np.concatenate(self._settle(jobs), axis=0)
-
-    def call_fanout(self, shards: Sequence[int], array, lane: str = "bulk",
-                    precision: Optional[str] = None,
-                    pset: Optional[_ProviderSet] = None,
-                    deadline: Optional[Deadline] = None,
-                    return_errors: bool = False) -> List:
-        """Forward one batch on several shards concurrently (node fan-out).
-
-        With ``return_errors=True`` a failing shard contributes its
-        exception object in place of an output array instead of aborting
-        the whole fan-out — the caller can then degrade to a typed
-        :class:`~repro.serving.PartialResult` rather than losing the
-        healthy shards' work.
-        """
-        if self._closed:
-            return [
-                self.call(shard, array, lane=lane, precision=precision, pset=pset)
-                for shard in shards
-            ]
-        array = np.asarray(array)
-        if deadline is not None:
-            deadline.check("process-accept")
-        per_shard: List[List[_Job]] = []
-        for shard in shards:
-            provider = self.provider(shard, pset=pset)
-            dtype = np.dtype(
-                resolve_precision(precision if precision is not None else provider.precision)
-            )
-            shard_array = array.astype(dtype) if array.dtype != dtype else array
-            jobs = self._make_jobs(shard, shard_array, lane, dtype, pset=pset,
-                                   deadline=deadline)
-            self._dispatch(shard, jobs, pset=pset)
-            per_shard.append(jobs)
-        results: List = []
-        for jobs in per_shard:
-            try:
-                results.append(np.concatenate(self._settle(jobs), axis=0))
-            except Exception as error:
-                if not return_errors:
-                    raise
-                results.append(error)
-        return results
 
     # ------------------------------------------------------------------
     def proxy(self, shard: int,

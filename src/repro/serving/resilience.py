@@ -11,8 +11,8 @@ This module is the one place the serving tiers reach for failure policy:
   transients).  Deterministic errors (bad shapes, unknown horizons) are
   never retried.
 - :class:`CircuitBreaker` — per-shard consecutive-failure breaker with an
-  open → half-open probe cycle.  ``"replicas"`` mode reroutes around open
-  shards; ``"nodes"`` mode degrades to a typed :class:`PartialResult`.
+  open → half-open probe cycle.  The sharded service reroutes around open
+  shards.
 - :class:`WatchdogConfig` — hung-worker detection thresholds and the capped
   exponential respawn backoff / storm window used by the process tier.
 - :class:`ResilientForward` — the wrapper installed around each shard's
@@ -33,8 +33,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .faults import fault_point
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "DeadlineExceeded",
     "WorkerCrashed",
     "CircuitOpen",
-    "PartialResult",
     "Deadline",
     "RetryPolicy",
     "CircuitBreaker",
@@ -106,23 +103,6 @@ class CircuitOpen(ResilienceError):
         self.shard = shard
         self.failures = failures
         self.retry_after = retry_after
-
-
-class PartialResult(ResilienceError):
-    """Typed degraded result for ``"nodes"`` mode when some shards fail.
-
-    ``forecast`` carries the merged output with the failed shards' node
-    columns NaN-filled; ``failed_shards`` maps shard index -> the error that
-    took it out.
-    """
-
-    def __init__(self, forecast: np.ndarray, failed_shards: Dict[int, BaseException]) -> None:
-        names = ", ".join(str(s) for s in sorted(failed_shards))
-        super().__init__(
-            f"partial result: shards [{names}] failed; their node columns are NaN"
-        )
-        self.forecast = forecast
-        self.failed_shards = failed_shards
 
 
 def is_retryable(error: BaseException) -> bool:
@@ -347,7 +327,6 @@ class WatchdogConfig:
     """
 
     hang_timeout_s: float = 30.0
-    heartbeat_interval_s: float = 0.1
     respawn_backoff_base_s: float = 0.05
     respawn_backoff_cap_s: float = 2.0
     storm_window_s: float = 30.0
@@ -387,7 +366,7 @@ class ResilientForward:
     is consulted before compute, retryable failures (worker death, injected
     transients) are re-dispatched under the retry policy's backoff, and
     outcomes feed the breaker.  Attribute access (``cache_info``,
-    ``save_artifacts``, ``compile_for``, ``precision``, ``threads``)
+    ``save_artifacts``, ``compile_for``, ``precision``)
     delegates to the wrapped forward so engine plumbing is unaffected.
     """
 

@@ -60,7 +60,6 @@ from ..runtime import (
     CompiledModel,
     resolve_precision,
     resolve_runtime_mode,
-    resolve_thread_count,
 )
 from ..tensor import Tensor, no_grad
 from .batching import (
@@ -108,8 +107,6 @@ class ServiceStats:
     flusher: Optional[FlusherStats] = None
     #: Default execution precision policy of the forward engine.
     precision: str = "float64"
-    #: Island-parallel replay width of the compiled plans (1 = serial).
-    threads: int = 1
     #: Detector-health and imputation counters (None without a monitor).
     quality: Optional[QualityStats] = None
     #: Completed hot checkpoint swaps over the service's lifetime.
@@ -198,7 +195,6 @@ class ForecastFrontend:
         cache_entries: int = 1024,
         runtime: Optional[str] = None,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
         quality_adjacency: Optional[np.ndarray] = None,
@@ -223,7 +219,6 @@ class ForecastFrontend:
         self._swaps = 0
         self.runtime = resolve_runtime_mode(runtime)
         self.precision = resolve_precision(precision).name
-        self.threads = resolve_thread_count(threads)
         # One store instance for the whole deployment: resolved here so the
         # sharded service hands the SAME object to every worker — N shards
         # then share one on-disk directory *and* one in-process memo, i.e.
@@ -502,16 +497,10 @@ class ForecastFrontend:
 
     # ------------------------------------------------------------------
     # Shared query skeleton.  The cache front, miss deduplication and
-    # finalisation (merge -> denormalise -> horizon -> cache insert) are
-    # identical for every frontend; subclasses provide only the compute:
-    # _compute_misses (synchronous) and _submit_parts (asynchronous).
+    # finalisation (denormalise -> horizon -> cache insert) are identical
+    # for every frontend; subclasses provide only the compute:
+    # _compute_misses (synchronous) and _submit (asynchronous).
     # ------------------------------------------------------------------
-    @staticmethod
-    def _merge(parts: List[np.ndarray]) -> np.ndarray:
-        """Combine one query's pending parts (a single part by default;
-        node-sharded services concatenate per-shard column blocks)."""
-        return parts[0]
-
     def _compute_misses(
         self,
         windows: List[np.ndarray],
@@ -532,11 +521,11 @@ class ForecastFrontend:
         """
         raise NotImplementedError
 
-    def _submit_parts(
+    def _submit(
         self, window: np.ndarray, gen: Optional[_Generation] = None,
         deadline: Optional[Deadline] = None,
-    ) -> List["PendingForecast"]:
-        """Enqueue one normalised window; returns its pending parts."""
+    ) -> "PendingForecast":
+        """Enqueue one normalised window; returns its pending entry."""
         raise NotImplementedError
 
     def _admit(self, lane: str, rows: int) -> None:
@@ -549,11 +538,11 @@ class ForecastFrontend:
         """
 
     def _finalize(self, key, horizon: int, gen: Optional[_Generation] = None):
-        """Build the merge -> denormalise -> cache hook for one query."""
+        """Build the denormalise -> cache hook for one query."""
         gen = gen or self._gen
 
-        def finalize(parts: List[np.ndarray]) -> np.ndarray:
-            forecast = self._denormalise(self._merge(parts), gen=gen)[:horizon]
+        def finalize(output: np.ndarray) -> np.ndarray:
+            forecast = self._denormalise(output, gen=gen)[:horizon]
             if self.cache is not None and key is not None:
                 self.cache.put(key, forecast)
             return forecast.copy()
@@ -669,6 +658,26 @@ class ForecastFrontend:
             normalised, horizon, precision=precision, gen=gen, deadline=deadline
         )
 
+    def forecast_node(
+        self,
+        window: np.ndarray,
+        node: int,
+        horizon: Optional[int] = None,
+        precision: Optional[str] = None,
+        deadline_ms: Optional[float] = None,
+    ) -> np.ndarray:
+        """Forecast a single sensor: returns shape ``(horizon,)``.
+
+        Every sensor's forecast depends on the whole network (the
+        hypergraph and graph stages couple all sensors), so this serves
+        the full-network forecast — and its cache entry — and slices.
+        """
+        if not 0 <= node < self.config.num_nodes:
+            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
+        return self.forecast(
+            window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
+        )[:, node]
+
     def submit(self, window: np.ndarray, horizon: Optional[int] = None,
                deadline_ms: Optional[float] = None) -> AsyncForecast:
         """Enqueue one raw window; returns a handle to collect later.
@@ -695,8 +704,8 @@ class ForecastFrontend:
             if cached is not None:
                 return AsyncForecast.completed(cached)
         self._admit("bulk", 1)
-        parts = self._submit_parts(normalised, gen=gen, deadline=deadline)
-        return AsyncForecast(parts, self._finalize(key, horizon, gen=gen))
+        pending = self._submit(normalised, gen=gen, deadline=deadline)
+        return AsyncForecast(pending, self._finalize(key, horizon, gen=gen))
 
     # ------------------------------------------------------------------
     # Streaming operation
@@ -900,10 +909,6 @@ class ForecastService(ForecastFrontend):
         memory-bandwidth headroom; see ``docs/runtime.md``).  ``None``
         consults ``REPRO_RUNTIME_PRECISION``.  Synchronous queries accept a
         per-request ``precision=`` override — the float64 SLA path.
-    threads:
-        Island-parallel replay width of the compiled plans (integer or
-        ``"auto"``; ``None`` consults ``REPRO_RUNTIME_THREADS``; 1 — the
-        default — replays serially).
     artifact_dir:
         Directory (or shared :class:`~repro.runtime.ArtifactStore`) of
         durable plan artifacts: a restarted service rebuilds its plans from
@@ -930,7 +935,6 @@ class ForecastService(ForecastFrontend):
         linger_ms: Optional[float] = None,
         runtime: Optional[str] = None,
         precision: Optional[str] = None,
-        threads: Optional[int] = None,
         artifact_dir: Optional[Union[str, Path, ArtifactStore]] = None,
         quality: Union[None, bool, QualityConfig, SensorHealthMonitor] = None,
         quality_adjacency: Optional[np.ndarray] = None,
@@ -943,7 +947,6 @@ class ForecastService(ForecastFrontend):
             cache_entries=cache_entries,
             runtime=runtime,
             precision=precision,
-            threads=threads,
             artifact_dir=artifact_dir,
             quality=quality,
             quality_adjacency=quality_adjacency,
@@ -988,7 +991,6 @@ class ForecastService(ForecastFrontend):
             CompiledModel(
                 model,
                 precision=self.precision,
-                threads=self.threads,
                 artifact_dir=self.artifact_store,
             )
             if self.runtime == "compiled"
@@ -1135,21 +1137,6 @@ class ForecastService(ForecastFrontend):
             deadline=deadline,
         )
 
-    def forecast_node(
-        self,
-        window: np.ndarray,
-        node: int,
-        horizon: Optional[int] = None,
-        precision: Optional[str] = None,
-        deadline_ms: Optional[float] = None,
-    ) -> np.ndarray:
-        """Forecast a single sensor: returns shape ``(horizon,)``."""
-        if not 0 <= node < self.config.num_nodes:
-            raise IndexError(f"node {node} out of range [0, {self.config.num_nodes})")
-        return self.forecast(
-            window, horizon=horizon, precision=precision, deadline_ms=deadline_ms
-        )[:, node]
-
     # ------------------------------------------------------------------
     # The compute hooks behind the shared forecast_many / submit skeleton
     # (see ForecastFrontend): misses coalesce into one batched forward
@@ -1187,13 +1174,13 @@ class ForecastService(ForecastFrontend):
         engine.batcher.flush()
         return [handle.result() for handle in pending]
 
-    def _submit_parts(
+    def _submit(
         self,
         window: np.ndarray,
         gen: Optional[_Generation] = None,
         deadline: Optional[Deadline] = None,
-    ) -> List[PendingForecast]:
-        return [(gen or self._gen).engine.batcher.submit(window, deadline=deadline)]
+    ) -> PendingForecast:
+        return (gen or self._gen).engine.batcher.submit(window, deadline=deadline)
 
     # ------------------------------------------------------------------
     # Streaming operation
@@ -1333,7 +1320,6 @@ class ForecastService(ForecastFrontend):
             runtime=self.runtime,
             flusher=self.flusher.stats() if self.flusher is not None else None,
             precision=self.precision,
-            threads=self.threads,
             quality=self.buffer.quality_stats(),
             swaps=self._swaps,
         )

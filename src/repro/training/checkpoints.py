@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -156,10 +156,8 @@ def save_plan_artifacts(
     checkpoint_path: Union[str, Path],
     examples,
     precisions=("float64",),
-    threads: Optional[int] = None,
     bucket_batches=None,
     artifact_dir: Optional[Union[str, Path]] = None,
-    node_shards: Optional[int] = None,
 ) -> Path:
     """Compile serving plans ahead of time and persist them beside a checkpoint.
 
@@ -172,39 +170,22 @@ def save_plan_artifacts(
     restarted with ``from_checkpoint(path, artifact_dir=...)`` then binds
     its plans from disk and serves its first request with zero retraces.
 
-    Examples are bucketed and precision-cast exactly like live requests,
-    and ``threads`` defaults to the same ``REPRO_RUNTIME_THREADS``
-    resolution a service applies — the trace key covers the parallel
-    binding, so AOT compilation must mirror the serving configuration for
-    its artifacts to be found.  For the same reason a node-sharded
-    deployment needs its *sliced-output* plans pre-compiled (the output
-    slice is part of the trace key): pass ``node_shards=K`` to also write
-    one plan ladder per shard of the
-    ``ShardedForecastService(num_shards=K, mode="nodes")`` partition.
-    Replica fleets and single-worker services use the full-output plans,
-    no extra flag needed.  Returns the artifact directory.
+    Examples are bucketed and precision-cast exactly like live requests
+    (the trace key covers the bucket cap, so AOT compilation must mirror
+    the serving configuration for its artifacts to be found).  Single-worker
+    services and replica fleets serve the same plans.  Returns the artifact
+    directory.
     """
     from ..runtime import ArtifactStore, CompiledModel
 
     directory = Path(artifact_dir) if artifact_dir is not None else artifact_dir_for(checkpoint_path)
     store = ArtifactStore(directory)
-    slices: List[Optional[tuple]] = [None]
-    if node_shards is not None:
-        from ..serving.sharding import partition_nodes
-
-        slices.extend(partition_nodes(model.config.num_nodes, node_shards))
     for precision in precisions:
-        for output_slice in slices:
-            compiled = CompiledModel(
-                model,
-                precision=precision,
-                threads=threads,
-                bucket_batches=bucket_batches,
-                output_slice=output_slice,
-                artifact_dir=store,
-            )
-            for example in examples:
-                compiled.compile_for(example)
+        compiled = CompiledModel(
+            model, precision=precision, bucket_batches=bucket_batches, artifact_dir=store
+        )
+        for example in examples:
+            compiled.compile_for(example)
     return directory
 
 

@@ -111,23 +111,6 @@ class TestRoundTripParity:
         for fresh, loaded in zip(references, produced):
             assert np.array_equal(fresh, loaded)
 
-    def test_threads_1_vs_4_parity(self, model, windows, store):
-        serial = CompiledModel(model, threads=1, artifact_dir=store)
-        reference = serial(windows)
-
-        parallel = CompiledModel(model, threads=4, artifact_dir=store)
-        parallel_fresh = parallel(windows)
-        # Parallel binding is a different artifact key (its plan carries a
-        # schedule), so the parallel model compiles its own plan...
-        assert parallel.cache_info().compiles == 1
-        # ...and a fresh parallel-bound model warm-starts from it.
-        warm = CompiledModel(model, threads=4, artifact_dir=_fresh_store(store))
-        parallel_loaded = warm(windows)
-        assert warm.cache_info().compiles == 0
-        assert warm.cache_info().artifact_loads == 1
-        assert np.array_equal(parallel_loaded, parallel_fresh)
-        assert np.array_equal(parallel_loaded, reference)
-
     def test_loaded_plan_replays_fresh_batches(self, model, windows, store):
         CompiledModel(model, artifact_dir=store)(windows)
         warm = CompiledModel(model, artifact_dir=_fresh_store(store))
@@ -295,17 +278,12 @@ class TestArtifactStore:
         assert weights_fingerprint(model) != before
 
     def test_trace_hash_varies_by_every_key_component(self, model):
-        base = dict(output_slice=None, fold_constants=True, fuse=True,
-                    parallel=False, bucket_cap=1024)
+        base = dict(fold_constants=True, fuse=True, bucket_cap=1024)
         reference = trace_hash(model, (3, 12, NUM_NODES, 1), np.float64, **base)
         assert trace_hash(model, (3, 12, NUM_NODES, 1), np.float64, **base) == reference
         variants = [
             trace_hash(model, (4, 12, NUM_NODES, 1), np.float64, **base),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float32, **base),
-            trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
-                       **{**base, "output_slice": (0, 4)}),
-            trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
-                       **{**base, "parallel": True}),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,
                        **{**base, "bucket_cap": None}),
             trace_hash(model, (3, 12, NUM_NODES, 1), np.float64,

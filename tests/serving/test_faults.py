@@ -26,7 +26,6 @@ from repro.serving import (
     FaultSpec,
     ForecastService,
     InjectedFault,
-    PartialResult,
     ResilienceConfig,
     RetryPolicy,
     ShardedForecastService,
@@ -47,7 +46,6 @@ TYPED_FAILURES = (
     InjectedFault,
     TransientError,  # includes WorkerCrashed
     DeadlineExceeded,
-    PartialResult,
 )
 
 
@@ -271,7 +269,6 @@ class TestChaosSoak:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="threads",
             cache_entries=0,
             resilience=ResilienceConfig(
@@ -371,7 +368,6 @@ class TestProcessTierChaos:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="processes",
             cache_entries=0,
             resilience=ResilienceConfig(

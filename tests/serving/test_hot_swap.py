@@ -211,7 +211,7 @@ class TestSingleServiceSwap:
 
 
 class TestShardedSwap:
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
+    @pytest.mark.parametrize("mode", ["replicas"])
     def test_sharded_swap_matches_a_fresh_service(
         self, tiny_model, other_model, forecasting_data, checkpoint_b, mode
     ):
@@ -241,7 +241,6 @@ class TestShardedSwap:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="processes",
         ) as sharded:
             before = sharded.forecast(window)
@@ -331,7 +330,6 @@ class TestNoTornRequests:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="threads",
             cache_entries=0,
         ) as sharded:
@@ -345,7 +343,6 @@ class TestNoTornRequests:
             tiny_model,
             scaler=forecasting_data.scaler,
             num_shards=2,
-            mode="nodes",
             executor="processes",
             cache_entries=0,
         ) as sharded:

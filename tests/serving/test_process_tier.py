@@ -55,7 +55,6 @@ def single(tiny_model, forecasting_data):
 
 def _executor(tiny_model, forecasting_data, **kwargs):
     config = tiny_model.config
-    kwargs.setdefault("slices", None)
     kwargs.setdefault("num_shards", 1)
     return ProcessShardExecutor(
         tiny_model,
@@ -180,7 +179,7 @@ class TestWorkspaceBinding:
 class TestProcessParity:
     """float64 bit-parity (max|diff| == 0) between process and thread tiers."""
 
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
+    @pytest.mark.parametrize("mode", ["replicas"])
     @pytest.mark.parametrize("num_shards", [1, 2])
     def test_forecast_many_bit_identical(
         self, tiny_model, forecasting_data, single, mode, num_shards
@@ -199,15 +198,13 @@ class TestProcessParity:
 
     def test_single_forecast_and_horizon(self, tiny_model, forecasting_data, single):
         window = _raw_windows(forecasting_data, 1)[0]
-        with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode="nodes"
-        ) as service:
+        with _sharded(tiny_model, forecasting_data, num_shards=2) as service:
             assert np.array_equal(service.forecast(window), single.forecast(window))
             assert np.array_equal(
                 service.forecast(window, horizon=4), single.forecast(window, horizon=4)
             )
 
-    @pytest.mark.parametrize("mode", ["nodes", "replicas"])
+    @pytest.mark.parametrize("mode", ["replicas"])
     def test_forecast_latest_bit_identical(
         self, tiny_model, forecasting_data, single, mode
     ):
@@ -272,18 +269,17 @@ class TestProcessParity:
         reference = single.forecast_many(windows)
         store = ArtifactStore(tmp_path / "plans")
         with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode="nodes",
-            artifact_dir=store,
+            tiny_model, forecasting_data, num_shards=2, artifact_dir=store,
         ) as service:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
+        saves = store.stats().saves
+        assert saves >= 1
         # Second fleet binds the published artifacts instead of recompiling.
         with _sharded(
-            tiny_model, forecasting_data, num_shards=2, mode="nodes",
-            artifact_dir=store,
+            tiny_model, forecasting_data, num_shards=2, artifact_dir=store,
         ) as service:
             assert np.abs(service.forecast_many(windows) - reference).max() == 0.0
-            infos = [service.stats()]
-        assert store.stats().saves >= 2
+        assert store.stats().saves == saves
 
 
 class TestReplayTiles:
@@ -592,6 +588,79 @@ class TestFaultInjection:
             # respawn, and the next well-formed request is bit-identical.
             assert executor.stats().respawns == 0
             assert np.abs(executor.call(0, batch) - reference).max() == 0.0
+
+
+class TestWorkerBoot:
+    """A worker that has not written its first heartbeat is booting, not
+    wedged: boot time never counts against ``hang_timeout_s``."""
+
+    @staticmethod
+    def _slow_boot(monkeypatch, action):
+        """Run ``action`` in every worker child before its first beacon.
+
+        The child builds its read-only artifact stores before entering the
+        serve loop; under fork it inherits this patched constructor.
+        """
+        from repro.serving import process_tier
+
+        parent = os.getpid()
+        real = process_tier.ArtifactStore
+
+        def booting_store(*args, **kwargs):
+            if os.getpid() != parent:
+                action()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(process_tier, "ArtifactStore", booting_store)
+
+    @pytest.fixture()
+    def forked(self):
+        import multiprocessing as mp
+
+        if "fork" not in mp.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        return "fork"
+
+    def test_slow_booting_worker_serves_its_first_request(
+        self, tiny_model, forecasting_data, monkeypatch, forked
+    ):
+        from repro.runtime import CompiledModel
+        from repro.serving import WatchdogConfig
+
+        batch = forecasting_data.scaler.transform(_raw_windows(forecasting_data, 2))
+        reference = CompiledModel(tiny_model)(batch)
+        with _executor(
+            tiny_model,
+            forecasting_data,
+            start_method=forked,
+            watchdog=WatchdogConfig(hang_timeout_s=0.3),
+        ) as executor:
+            self._slow_boot(monkeypatch, lambda: time.sleep(1.0))
+            produced = executor.call(0, batch)  # spawns the worker
+            assert np.abs(produced - reference).max() == 0.0
+            stats = executor.stats()
+            assert (stats.hung_detections, stats.respawns) == (0, 0)
+
+    def test_worker_dying_while_booting_is_reported_dead(
+        self, tiny_model, forecasting_data, monkeypatch, forked
+    ):
+        from repro.serving import WatchdogConfig, WorkerCrashed
+
+        batch = forecasting_data.scaler.transform(_raw_windows(forecasting_data, 1))
+        with _executor(
+            tiny_model,
+            forecasting_data,
+            start_method=forked,
+            watchdog=WatchdogConfig(hang_timeout_s=30.0),
+        ) as executor:
+            self._slow_boot(monkeypatch, lambda: os._exit(3))
+            started = time.monotonic()
+            with pytest.raises(WorkerCrashed) as excinfo:
+                executor.call(0, batch)
+            # Detected from the exit, long before the hang budget.
+            assert time.monotonic() - started < 10.0
+            assert not excinfo.value.hung
+            assert "died mid-batch" in str(excinfo.value)
 
 
 class TestLifecycle:
