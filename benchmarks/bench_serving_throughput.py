@@ -644,10 +644,14 @@ def test_sharded_serving_sweep():
     therefore asserts a hard overhead floor everywhere and the actual
     scaling gain only where there are cores to scale onto (the recorded
     ``workers x cores`` column makes the regime explicit).
+
+    Each configuration's rate is its best of 20 interleaved rounds: on a
+    shared 2-core host a best of 5 let one noisy stretch decide the 1.15x
+    scaling gate (it failed about one run in four).
     """
     num_nodes = max(8, int(round(PEMS08_NODES * 0.5)))
     concurrency = 16
-    repeats = 5
+    repeats = 20
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     model = _build_model(num_nodes=num_nodes)
     rng = np.random.default_rng(SEED + 5)

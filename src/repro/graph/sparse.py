@@ -8,18 +8,82 @@ paper claims for DyHSL (Section IV-D).
 
 Only *constant* (non-learnable) matrices are stored sparsely; gradients flow
 through the dense operand of :func:`sparse_matmul`.
+
+The temporal graph is also block-structured: ``T`` copies of the spatial
+block ``A + I`` on the diagonal plus identity links ``N`` rows off it.  On a
+dense road graph a CSR product spends most of its time on index
+indirection, so every matrix derives a *block form* from its CSR alone
+(:meth:`SparseMatrix.block_form`): dense ``b x b`` diagonal blocks that run
+as one stacked GEMM, plus the ``+-b`` band.  The form is kept only when
+``M * b <= BLOCK_COST_RATIO * nnz``, so the per-product cost stays within
+``k * nnz`` (``k`` = :data:`BLOCK_COST_RATIO`) multiply-adds per feature
+column either way; sparser graphs keep the CSR product.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import sparse as sp
 
 from ..tensor import Tensor, kernels
 
-__all__ = ["SparseMatrix", "sparse_matmul"]
+__all__ = ["BLOCK_COST_RATIO", "BlockForm", "SparseMatrix", "sparse_matmul"]
+
+#: Cost-model constant ``k``: a matrix keeps its block form when
+#: ``M * b <= k * nnz``.  ``M * b`` counts the stacked GEMM's multiply-adds
+#: per feature column and ``nnz`` the CSR product's, so ``k`` is how many
+#: times faster BLAS runs one multiply-add than the CSR loop does.  Set from
+#: the density sweep in ``benchmarks/bench_spmm_forms.py`` (recorded as
+#: ``spmm_forms`` in ``BENCH_runtime.json``).
+BLOCK_COST_RATIO = 8.0
+
+
+class BlockForm(NamedTuple):
+    """A square matrix as stacked dense diagonal blocks plus a ``+-b`` band.
+
+    ``blocks[t]`` is the ``(b, b)`` diagonal block of rows and columns
+    ``t*b .. (t+1)*b``; ``band`` holds the entries exactly ``b`` off the
+    diagonal as a CSR of the full shape (``None`` when there are none).
+    """
+
+    blocks: np.ndarray
+    band: Optional[sp.csr_matrix]
+
+
+def _block_size(csr) -> Optional[int]:
+    """The block size ``b`` of a CSR pattern, or ``None`` when it has none.
+
+    ``b = max|col - row|``.  It is valid when ``b`` divides ``M`` and every
+    stored entry lies in a diagonal ``b x b`` block or exactly ``b`` off the
+    diagonal; otherwise the whole matrix is one block (``b = M``).
+    Non-square and empty matrices have no block form.
+    """
+    rows, cols = csr.shape
+    if rows != cols or csr.nnz == 0:
+        return None
+    row = np.repeat(np.arange(rows), np.diff(csr.indptr))
+    col = csr.indices
+    offset = np.abs(col - row)
+    size = int(offset.max())
+    if size == 0 or rows % size or not np.all((row // size == col // size) | (offset == size)):
+        return rows
+    return size
+
+
+def _build_block_form(csr, size: int) -> BlockForm:
+    rows = csr.shape[0]
+    row = np.repeat(np.arange(rows), np.diff(csr.indptr))
+    col, data = csr.indices, csr.data
+    inside = row // size == col // size
+    blocks = np.zeros((rows // size, size, size), dtype=csr.dtype)
+    np.add.at(blocks, (row[inside] // size, row[inside] % size, col[inside] % size), data[inside])
+    band = None
+    if not inside.all():
+        outside = ~inside
+        band = sp.csr_matrix((data[outside], (row[outside], col[outside])), shape=csr.shape)
+    return BlockForm(blocks, band)
 
 
 class SparseMatrix:
@@ -110,6 +174,27 @@ class SparseMatrix:
             variant._matrix = self._matrix.astype(dtype)
             cache[dtype] = variant
         return variant
+
+    @property
+    def block_size(self) -> Optional[int]:
+        """Block size ``b`` of the pattern (``M`` for one block), ``None``
+        for non-square or empty matrices."""
+        return _block_size(self._matrix)
+
+    def block_form(self) -> Optional[BlockForm]:
+        """The block form when the cost model picks it, else ``None``.
+
+        A pure function of the CSR (pattern, values, dtype), built once and
+        cached on the instance like :meth:`transposed`: every holder of an
+        equal matrix — autograd, a compiled plan, a float32 variant, the
+        transpose, an artifact-decoded copy — chooses the same form, so the
+        products they compute stay bit-identical.
+        """
+        if "_block_form" not in self.__dict__:
+            size = self.block_size
+            keep = size is not None and self.shape[0] * size <= BLOCK_COST_RATIO * self.nnz
+            self.__dict__["_block_form"] = _build_block_form(self._matrix, size) if keep else None
+        return self.__dict__["_block_form"]
 
     def __repr__(self) -> str:
         return f"SparseMatrix(shape={self.shape}, nnz={self.nnz})"

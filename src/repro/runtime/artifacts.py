@@ -246,20 +246,58 @@ def _encode(
     )
 
 
-def _decode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
+def _decode_csr(
+    value: Dict[str, Any], arrays: Dict[str, np.ndarray], matrices: Dict[Any, Any]
+):
+    """The ``SparseMatrix`` of one encoded CSR, shared through ``matrices``.
+
+    ``matrices`` maps content keys to decoded matrices.  Plans of one model
+    at several batch sizes carry the same graph matrices, and a
+    ``SparseMatrix`` caches what it derives (transpose, dtype variants,
+    block form); decoding equal matrices to one instance builds and holds
+    those once, not once per plan.
+    """
+    from scipy import sparse as sp
+
+    from ..graph.sparse import SparseMatrix
+
+    base = value["ref"]
+    components = tuple(arrays[f"{base}_{suffix}"] for suffix in ("data", "indices", "indptr"))
+    key = (tuple(value["shape"]),) + tuple(_content_key(component) for component in components)
+    matrix = matrices.get(key)
+    if matrix is None:
+        matrix = SparseMatrix.__new__(SparseMatrix)
+        matrix._matrix = sp.csr_matrix(components, shape=key[0])
+        # One atomic dict operation: threads loading concurrently all get
+        # whichever instance landed first.
+        matrix = matrices.setdefault(key, matrix)
+    return matrix
+
+
+def _decode(
+    value: Any,
+    arrays: Dict[str, np.ndarray],
+    matrices: Optional[Dict[Any, Any]] = None,
+    refs: Optional[Dict[str, Any]] = None,
+) -> Any:
+    """Decode one kwargs tree.  ``matrices`` shares sparse constants by
+    content (see :func:`_decode_csr`); ``refs`` spares re-hashing a matrix
+    that many steps of one archive reference."""
     if not isinstance(value, dict):
         return value
+    matrices = {} if matrices is None else matrices
+    refs = {} if refs is None else refs
     kind = value.get("__k")
     if kind == "npnum":
         return np.dtype(value["dtype"]).type(value["v"])
     if kind == "tuple":
-        return tuple(_decode(item, arrays) for item in value["v"])
+        return tuple(_decode(item, arrays, matrices, refs) for item in value["v"])
     if kind == "list":
-        return [_decode(item, arrays) for item in value["v"]]
+        return [_decode(item, arrays, matrices, refs) for item in value["v"]]
     if kind == "dict":
-        return {key: _decode(item, arrays) for key, item in value["v"].items()}
+        return {key: _decode(item, arrays, matrices, refs) for key, item in value["v"].items()}
     if kind == "slice":
-        start, stop, step = (_decode(item, arrays) for item in value["v"])
+        start, stop, step = (_decode(item, arrays, matrices, refs) for item in value["v"])
         return slice(start, stop, step)
     if kind == "ellipsis":
         return Ellipsis
@@ -268,18 +306,9 @@ def _decode(value: Any, arrays: Dict[str, np.ndarray]) -> Any:
     if kind == "ndarray":
         return arrays[value["ref"]]
     if kind == "csr":
-        from scipy import sparse as sp
-
-        from ..graph.sparse import SparseMatrix
-
-        base = value["ref"]
-        csr = sp.csr_matrix(
-            (arrays[f"{base}_data"], arrays[f"{base}_indices"], arrays[f"{base}_indptr"]),
-            shape=tuple(value["shape"]),
-        )
-        matrix = SparseMatrix.__new__(SparseMatrix)
-        matrix._matrix = csr
-        return matrix
+        if value["ref"] not in refs:
+            refs[value["ref"]] = _decode_csr(value, arrays, matrices)
+        return refs[value["ref"]]
     raise ArtifactError(f"unknown encoded value kind {kind!r}")
 
 
@@ -315,18 +344,22 @@ def _spec_to_payload(spec: PlanSpec) -> Tuple[bytes, Dict[str, np.ndarray]]:
     return json.dumps(document, sort_keys=True).encode("utf-8"), arrays
 
 
-def _spec_from_payload(blob: bytes, arrays: Dict[str, np.ndarray]) -> PlanSpec:
+def _spec_from_payload(
+    blob: bytes, arrays: Dict[str, np.ndarray], matrices: Optional[Dict[Any, Any]] = None
+) -> PlanSpec:
     document = json.loads(blob.decode("utf-8"))
     if document.get("format") != ARTIFACT_FORMAT_VERSION:
         raise ArtifactError(
             f"artifact format {document.get('format')!r} does not match "
             f"this build's {ARTIFACT_FORMAT_VERSION}"
         )
+    matrices = {} if matrices is None else matrices
+    refs: Dict[str, Any] = {}
     steps = [
         StepSpec(
             name=entry["name"],
             in_slots=tuple(entry["in_slots"]),
-            kwargs=_decode(entry["kwargs"], arrays),
+            kwargs=_decode(entry["kwargs"], arrays, matrices, refs),
             out_slot=entry["out_slot"],
             out_shape=tuple(entry["out_shape"]),
             storage=entry["storage"],
@@ -475,6 +508,9 @@ class ArtifactStore:
         if not self.readonly:
             self.root.mkdir(parents=True, exist_ok=True)
         self._memo: Dict[str, Tuple[PlanSpec, Dict[int, np.ndarray]]] = {}
+        # Sparse graph constants decoded from this store's artifacts, by
+        # content: every plan bound from the store shares one instance each.
+        self._matrices: Dict[Any, Any] = {}
         self._lock = threading.Lock()
         self._saves = 0
         self._loads = 0
@@ -664,7 +700,7 @@ class ArtifactStore:
                 )
         arrays = _unpack_arrays(blob, layout_blob)
         aux = {name: value for name, value in arrays.items() if not name.startswith("const_")}
-        spec = _spec_from_payload(spec_blob, aux)
+        spec = _spec_from_payload(spec_blob, aux, self._matrices)
         constants: Dict[int, np.ndarray] = {}
         for name, value in arrays.items():
             if name.startswith("const_"):

@@ -99,18 +99,30 @@ class PendingForecast:
         self._done = True
 
     def result(self) -> np.ndarray:
-        """The forecast ``(T', N)``; flushes the queue if still pending."""
-        if not self._done:
-            self._batcher.flush()
-        if not self._done:  # defensive: flush must settle every pending handle
-            raise RuntimeError("flush did not settle this request")
+        """The forecast ``(T', N)``; flushes the queue if still pending.
+
+        A failed forward raises the same way whoever flushed: from this
+        call's own lazy flush or from another caller's earlier one.
+        """
+        while not self._done:
+            try:
+                self._batcher.flush()
+            except Exception:
+                # Either this request's chunk failed (the handle is now
+                # settled and reports the error below) or an earlier
+                # chunk did and this request is still queued: flush again.
+                continue
+            if not self._done:  # defensive: flush must settle every pending handle
+                raise RuntimeError("flush did not settle this request")
         if self._error is not None:
             if isinstance(self._error, ResilienceError):
                 # Typed resilience failures (DeadlineExceeded, WorkerCrashed,
                 # CircuitOpen) are the caller-facing contract — re-raise them
                 # unwrapped so except clauses can match on the type.
                 raise self._error
-            raise RuntimeError("batched forward failed for this request") from self._error
+            raise RuntimeError(
+                f"batched forward failed for this request: {self._error}"
+            ) from self._error
         return self._value
 
 

@@ -153,41 +153,69 @@ def _probe_csr_matvecs():
 _CSR_MATVECS = _probe_csr_matvecs()
 
 
+def _csr_accumulate(csr, x_pages: np.ndarray, y_pages: np.ndarray) -> None:
+    """``y += csr @ x`` for every page of ``(P, K, F)`` / ``(P, M, F)``."""
+    rows, cols = csr.shape
+    features = x_pages.shape[-1]
+    for x, y in zip(x_pages, y_pages):
+        if _CSR_MATVECS is None:
+            y += csr @ x
+        else:
+            _CSR_MATVECS(rows, cols, features, csr.indptr, csr.indices, csr.data, x.ravel(), y.ravel())
+
+
 def spmm(dense: np.ndarray, out: Optional[np.ndarray] = None, *, matrix=None) -> np.ndarray:
     """Constant-sparse times dense: ``matrix @ dense``, batch-major.
 
     ``matrix`` is a :class:`repro.graph.sparse.SparseMatrix` of shape
     ``(M, K)`` captured as a plan constant.  ``dense`` is ``(K, F)`` or a
     batch ``(B, K, F)``; the result is a C-contiguous ``(M, F)`` or
-    ``(B, M, F)``.  The product accumulates through SciPy's
-    ``csr_matvecs`` (the routine the ``@`` operator itself uses), once per
-    batch slice with ``n_vecs=F``.  CSR sums every output element over its
-    row's stored entries in the same order whatever ``n_vecs`` is, so the
-    batch-major product is bit-identical to one ``(K, B*F)`` product while
-    needing no transpose of the batch into the feature axis.  A contiguous
-    ``out`` of the operand's dtype is written in place; any other ``out``
-    receives a copy.
+    ``(B, M, F)``.  A contiguous ``out`` of the operand's dtype is written
+    in place; any other ``out`` receives a copy.
+
+    The matrix picks one of two forms, a pure function of its CSR
+    (:meth:`~repro.graph.sparse.SparseMatrix.block_form`):
+
+    * **CSR**: the product accumulates through SciPy's ``csr_matvecs`` (the
+      routine the ``@`` operator itself uses), once per batch slice with
+      ``n_vecs=F``.  CSR sums every output element over its row's stored
+      entries in the same order whatever ``n_vecs`` is, so the batch-major
+      product is bit-identical to one ``(K, B*F)`` product.
+    * **Blocked**: one stacked ``np.matmul`` of the ``(T, b, b)`` diagonal
+      blocks against the ``(B, T, b, F)`` view of the operand, written
+      straight into the result, then the ``+-b`` band accumulated in place
+      by the same CSR routine.  Every GEMM has the fixed shape
+      ``(b, b) @ (b, F)``, so a page's bits do not depend on how many pages
+      share the call.
 
     Dtype-polymorphic: a non-float64 ``dense`` (a float32 precision-policy
-    plan) multiplies against the matrix's cached same-dtype value array
+    plan) multiplies against the matrix's cached same-dtype variant
     (:meth:`~repro.graph.sparse.SparseMatrix.with_dtype`) so the whole
     product — values, accumulator, result — runs at the plan's precision
     instead of silently upcasting the hot path.
     """
     if matrix.csr.dtype != dense.dtype:
         matrix = matrix.with_dtype(dense.dtype)
-    csr = matrix.csr
-    rows, cols = csr.shape
+    rows, cols = matrix.shape
     dense = np.ascontiguousarray(dense)
     pages, features = int(np.prod(dense.shape[:-2])), dense.shape[-1]
     direct = out is not None and out.flags.c_contiguous and out.dtype == dense.dtype
     target = out if direct else np.empty(dense.shape[:-2] + (rows, features), dtype=dense.dtype)
-    target.fill(0.0)
-    for x, y in zip(dense.reshape(pages, cols, features), target.reshape(pages, rows, features)):
-        if _CSR_MATVECS is None:
-            y[...] = csr @ x
-        else:
-            _CSR_MATVECS(rows, cols, features, csr.indptr, csr.indices, csr.data, x.ravel(), y.ravel())
+    x_pages = dense.reshape(pages, cols, features)
+    y_pages = target.reshape(pages, rows, features)
+    form = matrix.block_form()
+    if form is None:
+        target.fill(0.0)
+        _csr_accumulate(matrix.csr, x_pages, y_pages)
+    else:
+        steps, size = form.blocks.shape[:2]
+        np.matmul(
+            form.blocks,
+            dense.reshape(pages, steps, size, features),
+            out=target.reshape(pages, steps, size, features),
+        )
+        if form.band is not None:
+            _csr_accumulate(form.band, x_pages, y_pages)
     if out is None or direct:
         return target
     np.copyto(out, target)

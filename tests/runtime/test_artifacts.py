@@ -328,6 +328,40 @@ class TestKwargsEncoding:
         assert np.array_equal(decoded["matrix"].to_dense(), SparseMatrix(dense).to_dense())
         assert len(arrays) == 4  # mask + CSR data/indices/indptr
 
+    def test_equal_sparse_constants_decode_to_one_instance(self):
+        """Plans decoded through one ``matrices`` table (one per store)
+        share one SparseMatrix per distinct matrix, so its derived forms
+        are built and held once."""
+        from repro.graph.sparse import SparseMatrix
+
+        rng = np.random.default_rng(6)
+        dense = rng.random((8, 8)) * (rng.random((8, 8)) < 0.5)
+        matrices, first, second = {}, {}, {}
+        encoded = _encode({"a": SparseMatrix(dense), "b": SparseMatrix(dense)}, first)
+        decoded = _decode(encoded, first, matrices)
+        assert decoded["a"] is decoded["b"]
+        again = _decode(_encode(SparseMatrix(dense), second), second, matrices)
+        assert again is decoded["a"]
+        other = _decode(_encode(SparseMatrix(dense * 2.0), second), second, matrices)
+        assert other is not again
+        assert np.array_equal(other.to_dense(), dense * 2.0)
+
+    def test_store_plans_share_sparse_constants(self, model, windows, store):
+        compiled = CompiledModel(model, artifact_dir=store)
+        compiled(windows[:1])
+        compiled(windows)
+        fresh = _fresh_store(store)
+        plans = [fresh.bind(key) for key in fresh.keys()]
+        assert len(plans) == 2
+        per_plan = [
+            {id(step.kwargs["matrix"]) for step in plan.spec.steps if step.name == "spmm"}
+            for plan in plans
+        ]
+        # One instance per distinct graph matrix (scales 12, 4 and 1), shared
+        # by every step and by both plans.
+        assert per_plan[0] == per_plan[1]
+        assert len(per_plan[0]) == 3
+
     def test_unsupported_type_raises(self):
         with pytest.raises(ArtifactError, match="not serialisable"):
             _encode({"bad": object()}, {})

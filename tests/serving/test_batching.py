@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.serving import MicroBatcher
+from repro.serving import MicroBatcher, TransientError
 from repro.tensor import Tensor, no_grad
 
 
@@ -97,6 +97,58 @@ class TestFailurePropagation:
         with pytest.raises(RuntimeError, match="batched forward failed") as excinfo:
             handle.result()
         assert "model exploded" in str(excinfo.value.__cause__)
+
+    @pytest.mark.parametrize("flushed_by", ["own_result", "other_caller"])
+    def test_failure_raises_the_same_way_whoever_flushed(self, forecasting_data, flushed_by):
+        """``result()`` wraps a plain forward error identically whether its
+        own lazy flush hit it or another caller's flush settled it first."""
+
+        def broken_forward(batch):
+            raise RuntimeError("model exploded")
+
+        batcher = MicroBatcher(broken_forward)
+        handle = batcher.submit(_windows(forecasting_data, 1)[0])
+        if flushed_by == "other_caller":
+            with pytest.raises(RuntimeError, match="model exploded"):
+                batcher.flush()
+        with pytest.raises(RuntimeError, match="batched forward failed.*model exploded") as excinfo:
+            handle.result()
+        assert type(excinfo.value) is RuntimeError
+        assert str(excinfo.value.__cause__) == "model exploded"
+
+    @pytest.mark.parametrize("flushed_by", ["own_result", "other_caller"])
+    def test_resilience_errors_stay_unwrapped_whoever_flushed(self, forecasting_data, flushed_by):
+        failure = TransientError("replica restarting")
+
+        def flaky_forward(batch):
+            raise failure
+
+        batcher = MicroBatcher(flaky_forward)
+        handle = batcher.submit(_windows(forecasting_data, 1)[0])
+        if flushed_by == "other_caller":
+            with pytest.raises(TransientError):
+                batcher.flush()
+        with pytest.raises(TransientError) as excinfo:
+            handle.result()
+        assert excinfo.value is failure
+
+    def test_an_earlier_chunk_failure_does_not_fail_a_later_request(self, forecasting_data):
+        """A lazy flush that fails on another request's chunk flushes again
+        until this request's own chunk has run."""
+        calls = {"count": 0}
+
+        def fails_first_chunk(batch):
+            calls["count"] += 1
+            if calls["count"] == 1:
+                raise RuntimeError("first chunk exploded")
+            data = batch.data
+            return np.ones((data.shape[0], 12, data.shape[2]))
+
+        batcher = MicroBatcher(fails_first_chunk, max_batch_size=1)
+        first, second = (batcher.submit(window) for window in _windows(forecasting_data, 2))
+        assert np.array_equal(second.result(), np.ones((12, second.result().shape[1])))
+        with pytest.raises(RuntimeError, match="first chunk exploded"):
+            first.result()
 
     def test_wrong_prediction_count_fails_handles(self, forecasting_data):
         batcher = MicroBatcher(lambda batch: np.zeros((99, 12, 10)))
